@@ -18,8 +18,7 @@
 //! revealed to its [`DisclosureLedger`](crate::DisclosureLedger), the
 //! client-side mirror of the provider's query log.
 //!
-//! Built-in shapers (the three legacy
-//! [`MitigationPolicy`](crate::MitigationPolicy) behaviours plus one new
+//! Built-in shapers (the paper's three Section 8 mitigations plus one new
 //! design point):
 //!
 //! | Shaper | Wire shape | Defeats |
@@ -525,6 +524,10 @@ mod tests {
         let unique: HashSet<&Prefix> = a.iter().collect();
         assert_eq!(unique.len(), 16);
         assert!(!a.contains(&real));
+        // The dummies are a function of the real prefix, and none are
+        // asked for, none come back.
+        assert_ne!(dummy_prefixes_for(&prefix32("a.example/"), 3, &[]), a[..3]);
+        assert!(dummy_prefixes_for(&real, 0, &[]).is_empty());
     }
 
     #[test]

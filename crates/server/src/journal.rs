@@ -7,41 +7,37 @@
 //! precisely the delta — no replay of already-applied history, no scan over
 //! other lists' chunks.
 //!
-//! Unbounded append would make the journal (and a fresh client's first
-//! update) grow forever, so the journal **compacts**: a sub chunk's
-//! prefixes are netted out of the *earlier* add chunks they cancel, and add
-//! chunks that become empty are dropped.  Sub chunks are never dropped —
-//! a client that already holds the original (un-netted) add chunk still
-//! needs the sub to remove the prefix; a fresh client applies the sub as a
-//! harmless no-op.  Netting only touches prefixes that are not re-added by
-//! a *later* add chunk, so the subs-before-adds application order of
+//! The journal stores only the **netted** view.  Appending a sub chunk
+//! removes its prefixes from every live add chunk (all of them earlier)
+//! and drops the add chunks it empties, which bounds a fresh client's
+//! replay cost.  Sub chunks are never dropped — a client that already
+//! holds the original (un-netted) add chunk still needs the sub to remove
+//! the prefix; a fresh client applies the sub as a harmless no-op.  An add
+//! appended after the sub is untouched, so a re-added prefix survives.
+//! Every live add therefore carries only prefixes no later sub removed,
+//! and the subs-before-adds application order of
 //! [`UpdateResponse`](sb_protocol::UpdateResponse) converges to the same
-//! membership for every client, however stale.
+//! membership for every client, however stale.  A dropped add leaves a
+//! hole in the number space that no client is ever served.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use sb_hash::Prefix;
 use sb_protocol::{Chunk, ChunkKind, ClientListState, ListName};
 use sb_telemetry::{Counter, Telemetry, TraceKind};
 
-/// Journal of one list: chronological chunks plus the number allocators.
+/// Journal of one list: live chunks per kind plus the number allocators.
 #[derive(Debug, Default, Clone)]
 struct ListJournal {
-    /// Chunks in append (chronological) order — the true mutation order,
-    /// which compaction relies on.
-    chunks: Vec<Chunk>,
+    /// Live add chunks in ascending number order (numbers are allocated
+    /// in append order).
+    adds: Vec<Chunk>,
+    /// Every sub chunk, in ascending number order.
+    subs: Vec<Chunk>,
     /// Next add-chunk number to allocate (numbers start at 1).
     next_add: u32,
     /// Next sub-chunk number to allocate.
     next_sub: u32,
-    /// Live chunk count right after the last compaction pass — the
-    /// baseline of the geometric re-compaction trigger.  Compaction
-    /// cannot shrink below the un-nettable chunks (subs are never
-    /// dropped; a pure-add history nets nothing), so retriggering on a
-    /// fixed size would re-walk the whole journal on *every* append once
-    /// past the bound.  Requiring the journal to grow by half since the
-    /// last pass keeps the amortized cost per append O(1).
-    compacted_at: usize,
 }
 
 impl ListJournal {
@@ -52,6 +48,28 @@ impl ListJournal {
         };
         *counter += 1;
         *counter
+    }
+
+    /// Removes `removed` from every live add chunk in one pass and drops
+    /// the adds left empty.  Returns `(prefixes netted, adds dropped)`.
+    fn net(&mut self, removed: &[Prefix]) -> (usize, usize) {
+        let mut removed = removed.to_vec();
+        removed.sort_unstable();
+        // Leading 32-bit words: a cheap test that rejects almost every
+        // live prefix before the full comparison.
+        let mut leads: Vec<u32> = removed.iter().map(Prefix::value).collect();
+        leads.sort_unstable();
+        let live = self.adds.len();
+        let mut netted = 0;
+        self.adds.retain_mut(|add| {
+            let before = add.prefixes.len();
+            add.prefixes.retain(|p| {
+                leads.binary_search(&p.value()).is_err() || removed.binary_search(p).is_err()
+            });
+            netted += before - add.prefixes.len();
+            !add.prefixes.is_empty()
+        });
+        (netted, live - self.adds.len())
     }
 }
 
@@ -69,16 +87,16 @@ pub struct JournalStats {
     pub live_prefixes: usize,
     /// Chunks appended over the journal's lifetime.
     pub appends: usize,
-    /// Prefixes removed from add chunks by compaction netting.
+    /// Prefixes removed from add chunks by netting.
     pub netted_prefixes: usize,
     /// Add chunks dropped because netting emptied them.
     pub dropped_chunks: usize,
-    /// Compaction passes run (automatic + explicit).
+    /// Sub appends that netted at least one prefix.
     pub compactions: usize,
 }
 
-/// The journal's registered metric handles, mirroring its lifetime
-/// counters into a [`Telemetry`] registry (under `journal.*`).
+/// The journal's lifetime counters, registered in its [`Telemetry`]
+/// registry (under `journal.*`) — the one place they are kept.
 #[derive(Debug)]
 struct JournalHandles {
     appends: Counter,
@@ -99,51 +117,32 @@ impl JournalHandles {
     }
 }
 
-/// The server's chunk journal: one per-list journal with append, delta
-/// computation and compaction.
+/// The server's chunk journal: one netted per-list journal with append
+/// and delta computation.
 #[derive(Debug)]
 pub struct ChunkJournal {
     lists: BTreeMap<ListName, ListJournal>,
-    /// A list is compacted automatically when its live chunk count exceeds
-    /// this bound after an append.
-    auto_compact_above: usize,
-    appends: usize,
-    netted_prefixes: usize,
-    dropped_chunks: usize,
-    compactions: usize,
     telemetry: Telemetry,
     handles: JournalHandles,
 }
 
-/// Default per-list chunk count above which an append triggers compaction.
-pub const DEFAULT_AUTO_COMPACT_ABOVE: usize = 64;
-
 impl Default for ChunkJournal {
     fn default() -> Self {
-        Self::new(DEFAULT_AUTO_COMPACT_ABOVE)
-    }
-}
-
-impl ChunkJournal {
-    /// Creates an empty journal with the given auto-compaction bound.
-    pub fn new(auto_compact_above: usize) -> Self {
         let telemetry = Telemetry::default();
         let handles = JournalHandles::register(&telemetry);
         ChunkJournal {
             lists: BTreeMap::new(),
-            auto_compact_above,
-            appends: 0,
-            netted_prefixes: 0,
-            dropped_chunks: 0,
-            compactions: 0,
             telemetry,
             handles,
         }
     }
+}
 
+impl ChunkJournal {
     /// Publishes the journal's counters (and chunk-apply / compaction
     /// trace events) into a shared [`Telemetry`] plane instead of the
-    /// private default one.
+    /// private default one.  The counters live in the plane, so attach it
+    /// before the first append.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.handles = JournalHandles::register(&telemetry);
         self.telemetry = telemetry;
@@ -156,71 +155,53 @@ impl ChunkJournal {
     }
 
     /// Appends a chunk to `list`, allocating its number.  Returns the
-    /// allocated chunk number.  Compacts the list automatically when its
-    /// journal has outgrown the bound *and* grown by half since the last
-    /// pass (amortized O(1) per append — see `ListJournal::compacted_at`).
+    /// allocated chunk number.  A sub chunk is netted as it lands: its
+    /// prefixes leave every live add chunk of the list, and adds it
+    /// empties are dropped.
     pub fn append(&mut self, list: ListName, kind: ChunkKind, prefixes: Vec<Prefix>) -> u32 {
         let journal = self.lists.entry(list.clone()).or_default();
         let number = journal.allocate(kind);
-        journal.chunks.push(Chunk {
-            list: list.clone(),
+        self.handles.appends.inc();
+        self.telemetry
+            .event(TraceKind::ChunkApply, prefixes.len() as u64);
+        let chunk = Chunk {
+            list,
             number,
             kind,
             prefixes,
-        });
-        let prefix_count = journal.chunks.last().map_or(0, |c| c.prefixes.len());
-        let len = journal.chunks.len();
-        let due =
-            len > self.auto_compact_above && len >= journal.compacted_at + journal.compacted_at / 2;
-        self.appends += 1;
-        self.handles.appends.inc();
-        self.telemetry
-            .event(TraceKind::ChunkApply, prefix_count as u64);
-        if due {
-            self.compact_list_inner(&list);
+        };
+        match kind {
+            ChunkKind::Add => journal.adds.push(chunk),
+            ChunkKind::Sub => {
+                let (netted, dropped) = journal.net(&chunk.prefixes);
+                journal.subs.push(chunk);
+                self.handles.netted_prefixes.add(netted as u64);
+                self.handles.dropped_chunks.add(dropped as u64);
+                if netted > 0 {
+                    self.handles.compactions.inc();
+                    let live = journal.adds.len() + journal.subs.len();
+                    self.telemetry.event(TraceKind::Compaction, live as u64);
+                }
+            }
         }
         number
     }
 
     /// The chunks of `list` the client is missing, **sub chunks first**,
     /// each group in ascending chunk number — the emission side of the
-    /// response ordering contract.
-    ///
-    /// The served view is *netted*: a prefix that an add chunk carries
-    /// and a chronologically-later sub chunk of the **whole journal**
-    /// removes is stripped from the add before emission.  Without this,
-    /// subs-before-adds application would resurrect it (the sub applies
-    /// first, then the add re-inserts) — and a client whose held ranges
-    /// interleave with the served chunks (e.g. holding the sub but not
-    /// the add it cancels) would resurrect it permanently.  Netting over
-    /// the full journal rather than just the response makes the served
-    /// view identical to what stored compaction would persist, so the
-    /// response a client sees does not depend on whether compaction has
-    /// run yet.  Adds emptied by netting are still emitted (number
-    /// intact, no prefixes) so the client records them as applied instead
-    /// of re-requesting them forever.
+    /// response ordering contract.  The stored view is already netted, so
+    /// this is a plain filter on the client's held ranges.
     pub fn missing_chunks(&self, list: &ListName, state: &ClientListState) -> Vec<Chunk> {
         let Some(journal) = self.lists.get(list) else {
             return Vec::new();
         };
-        let strips = net_strip_map(&journal.chunks);
-        let mut missing: Vec<Chunk> = Vec::new();
-        for (idx, chunk) in journal.chunks.iter().enumerate() {
-            if state.holds(chunk.kind, chunk.number) {
-                continue;
-            }
-            let mut chunk = chunk.clone();
-            if let Some(strip) = strips.get(&idx) {
-                chunk.prefixes.retain(|p| !strip.contains(p));
-            }
-            missing.push(chunk);
-        }
-        let (mut subs, mut adds): (Vec<Chunk>, Vec<Chunk>) =
-            missing.into_iter().partition(|c| c.kind == ChunkKind::Sub);
-        subs.sort_by_key(|c| c.number);
-        adds.sort_by_key(|c| c.number);
-        subs.extend(adds);
-        subs
+        journal
+            .subs
+            .iter()
+            .chain(&journal.adds)
+            .filter(|chunk| !state.holds(chunk.kind, chunk.number))
+            .cloned()
+            .collect()
     }
 
     /// True when the journal has entries for `list`.
@@ -228,116 +209,29 @@ impl ChunkJournal {
         self.lists.contains_key(list)
     }
 
-    /// Compacts one list now (netting + empty-add-chunk dropping).
-    pub fn compact_list(&mut self, list: &ListName) {
-        self.compact_list_inner(list);
-    }
-
-    /// Compacts every list now.
-    pub fn compact_all(&mut self) {
-        let names: Vec<ListName> = self.lists.keys().cloned().collect();
-        for name in &names {
-            self.compact_list_inner(name);
-        }
-    }
-
     /// Aggregate statistics.
     pub fn stats(&self) -> JournalStats {
+        let handles = &self.handles;
         let mut stats = JournalStats {
             lists: self.lists.len(),
-            appends: self.appends,
-            netted_prefixes: self.netted_prefixes,
-            dropped_chunks: self.dropped_chunks,
-            compactions: self.compactions,
+            appends: handles.appends.get() as usize,
+            netted_prefixes: handles.netted_prefixes.get() as usize,
+            dropped_chunks: handles.dropped_chunks.get() as usize,
+            compactions: handles.compactions.get() as usize,
             ..JournalStats::default()
         };
         for journal in self.lists.values() {
-            for chunk in &journal.chunks {
-                match chunk.kind {
-                    ChunkKind::Add => stats.add_chunks += 1,
-                    ChunkKind::Sub => stats.sub_chunks += 1,
-                }
-                stats.live_prefixes += chunk.prefixes.len();
-            }
+            stats.add_chunks += journal.adds.len();
+            stats.sub_chunks += journal.subs.len();
+            stats.live_prefixes += journal
+                .adds
+                .iter()
+                .chain(&journal.subs)
+                .map(|chunk| chunk.prefixes.len())
+                .sum::<usize>();
         }
         stats
     }
-
-    /// The stored netting pass: strip the [`net_strip_map`] prefixes from
-    /// the journal's add chunks, dropping adds that become empty.  Sub
-    /// chunks are kept verbatim (stale clients need them).
-    fn compact_list_inner(&mut self, list: &ListName) {
-        let Some(journal) = self.lists.get_mut(list) else {
-            return;
-        };
-        let netted = net_strip_map(&journal.chunks);
-        if netted.is_empty() {
-            journal.compacted_at = journal.chunks.len();
-            let live = journal.chunks.len();
-            self.compactions += 1;
-            self.handles.compactions.inc();
-            self.telemetry.event(TraceKind::Compaction, live as u64);
-            return;
-        }
-        let netted_count: usize = netted.values().map(HashSet::len).sum();
-        let mut dropped = 0usize;
-        let mut kept: Vec<Chunk> = Vec::with_capacity(journal.chunks.len());
-        for (idx, mut chunk) in journal.chunks.drain(..).enumerate() {
-            if let Some(strip) = netted.get(&idx) {
-                chunk.prefixes.retain(|p| !strip.contains(p));
-                if chunk.prefixes.is_empty() {
-                    dropped += 1;
-                    continue; // an emptied add chunk vanishes
-                }
-            }
-            kept.push(chunk);
-        }
-        journal.compacted_at = kept.len();
-        journal.chunks = kept;
-        let live = journal.compacted_at;
-        self.netted_prefixes += netted_count;
-        self.dropped_chunks += dropped;
-        self.compactions += 1;
-        self.handles.netted_prefixes.add(netted_count as u64);
-        self.handles.dropped_chunks.add(dropped as u64);
-        self.handles.compactions.inc();
-        self.telemetry.event(TraceKind::Compaction, live as u64);
-    }
-}
-
-/// The netting walk shared by serve-time netting
-/// ([`ChunkJournal::missing_chunks`]) and stored compaction: a
-/// chronological pass over `chunks` in which an occurrence of prefix `p`
-/// in an add chunk is *pending* until a later sub chunk carries `p`, at
-/// which point every pending occurrence is netted.  Occurrences added
-/// *after* the sub stay — the prefix was re-added.  Returns, per chunk
-/// index, the prefixes to strip from that add chunk; subs are never in
-/// the map.  Keeping this in one place is what guarantees the served
-/// view and the stored view net identically.
-fn net_strip_map(chunks: &[Chunk]) -> HashMap<usize, HashSet<Prefix>> {
-    // pending[p] = indices of add chunks whose copy of `p` is not yet
-    // cancelled by a later sub.
-    let mut pending: HashMap<Prefix, Vec<usize>> = HashMap::new();
-    let mut netted: HashMap<usize, HashSet<Prefix>> = HashMap::new();
-    for (idx, chunk) in chunks.iter().enumerate() {
-        match chunk.kind {
-            ChunkKind::Add => {
-                for p in &chunk.prefixes {
-                    pending.entry(*p).or_default().push(idx);
-                }
-            }
-            ChunkKind::Sub => {
-                for p in &chunk.prefixes {
-                    if let Some(holders) = pending.remove(p) {
-                        for holder in holders {
-                            netted.entry(holder).or_default().insert(*p);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    netted
 }
 
 #[cfg(test)]
@@ -361,7 +255,7 @@ mod tests {
         assert_eq!(journal.append(list(), ChunkKind::Add, vec![p(3)]), 3);
         let stats = journal.stats();
         assert_eq!(stats.appends, 4);
-        assert_eq!(stats.add_chunks, 3);
+        assert_eq!(stats.add_chunks, 2, "sub 1 emptied and dropped add 1");
         assert_eq!(stats.sub_chunks, 1);
     }
 
@@ -373,19 +267,13 @@ mod tests {
         journal.append(list(), ChunkKind::Sub, vec![p(1)]); // sub 1
         journal.append(list(), ChunkKind::Add, vec![p(3)]); // add 3
 
-        // Client holds add 2 only (out-of-order hole at add 1).
+        // Client holds add 2 only (out-of-order hole at add 1).  Add 1 was
+        // emptied by sub 1 and dropped, so it stays a hole.
         let mut state = ClientListState::default();
         state.record(ChunkKind::Add, 2);
         let missing = journal.missing_chunks(&list(), &state);
         let shape: Vec<(ChunkKind, u32)> = missing.iter().map(|c| (c.kind, c.number)).collect();
-        assert_eq!(
-            shape,
-            vec![
-                (ChunkKind::Sub, 1),
-                (ChunkKind::Add, 1),
-                (ChunkKind::Add, 3),
-            ]
-        );
+        assert_eq!(shape, vec![(ChunkKind::Sub, 1), (ChunkKind::Add, 3)]);
 
         // A fully caught-up client gets nothing.
         let mut caught_up = ClientListState::default();
@@ -437,26 +325,6 @@ mod tests {
     }
 
     #[test]
-    fn served_netting_respects_re_adds() {
-        // add {1}, sub {1}, add {1} again: the final add keeps p(1), the
-        // first is netted — replay converges to "present".
-        let mut journal = ChunkJournal::default();
-        journal.append(list(), ChunkKind::Add, vec![p(1)]);
-        journal.append(list(), ChunkKind::Sub, vec![p(1)]);
-        journal.append(list(), ChunkKind::Add, vec![p(1)]);
-
-        let missing = journal.missing_chunks(&list(), &ClientListState::default());
-        let adds: Vec<&Chunk> = missing
-            .iter()
-            .filter(|c| c.kind == ChunkKind::Add)
-            .collect();
-        assert_eq!(adds[0].number, 1);
-        assert!(adds[0].prefixes.is_empty(), "first add netted");
-        assert_eq!(adds[1].number, 2);
-        assert_eq!(adds[1].prefixes, vec![p(1)], "re-add survives");
-    }
-
-    #[test]
     fn unknown_list_has_no_chunks() {
         let journal = ChunkJournal::default();
         assert!(journal
@@ -466,31 +334,23 @@ mod tests {
     }
 
     #[test]
-    fn compaction_nets_subbed_prefixes_out_of_earlier_adds() {
+    fn sub_append_nets_its_prefixes_out_of_earlier_adds() {
         let mut journal = ChunkJournal::default();
         journal.append(list(), ChunkKind::Add, vec![p(1), p(2)]);
         journal.append(list(), ChunkKind::Sub, vec![p(1)]);
-        journal.compact_list(&list());
 
         let stats = journal.stats();
         assert_eq!(stats.netted_prefixes, 1);
         assert_eq!(stats.dropped_chunks, 0);
         assert_eq!(stats.compactions, 1);
-
-        // Fresh client: add 1 now carries only p(2); the sub is preserved.
-        let missing = journal.missing_chunks(&list(), &ClientListState::default());
-        let add = missing.iter().find(|c| c.kind == ChunkKind::Add).unwrap();
-        assert_eq!(add.prefixes, vec![p(2)]);
-        let sub = missing.iter().find(|c| c.kind == ChunkKind::Sub).unwrap();
-        assert_eq!(sub.prefixes, vec![p(1)]);
+        assert_eq!(stats.live_prefixes, 2, "add {{2}} plus sub {{1}}");
     }
 
     #[test]
-    fn compaction_drops_emptied_add_chunks_but_keeps_subs() {
+    fn sub_append_drops_emptied_add_chunks_but_keeps_subs() {
         let mut journal = ChunkJournal::default();
         journal.append(list(), ChunkKind::Add, vec![p(1)]);
         journal.append(list(), ChunkKind::Sub, vec![p(1)]);
-        journal.compact_list(&list());
 
         let stats = journal.stats();
         assert_eq!(stats.dropped_chunks, 1);
@@ -508,7 +368,6 @@ mod tests {
         journal.append(list(), ChunkKind::Add, vec![p(1)]); // add 1: netted
         journal.append(list(), ChunkKind::Sub, vec![p(1)]); // sub 1
         journal.append(list(), ChunkKind::Add, vec![p(1)]); // add 2: re-added, kept
-        journal.compact_list(&list());
 
         let missing = journal.missing_chunks(&list(), &ClientListState::default());
         let adds: Vec<&Chunk> = missing
@@ -535,42 +394,43 @@ mod tests {
     }
 
     #[test]
-    fn auto_compaction_bounds_journal_growth() {
-        let mut journal = ChunkJournal::new(8);
+    fn alternating_churn_leaves_only_subs() {
         // Alternate add/sub of the same prefix: history grows, membership
-        // stays empty — compaction keeps only the subs.
+        // stays empty — each sub drops the add it cancels.
+        let mut journal = ChunkJournal::default();
         for _ in 0..16 {
             journal.append(list(), ChunkKind::Add, vec![p(7)]);
             journal.append(list(), ChunkKind::Sub, vec![p(7)]);
         }
-        let auto = journal.stats();
-        assert!(auto.compactions > 0, "auto-compaction must have fired");
-        // The trigger is geometric (amortized O(1) per append), so a tail
-        // of un-netted chunks may remain; an explicit pass finishes it.
-        journal.compact_all();
         let stats = journal.stats();
         assert_eq!(stats.add_chunks, 0, "all adds were netted away");
+        assert_eq!(stats.sub_chunks, 16);
+        assert_eq!(stats.compactions, 16);
+        assert_eq!(stats.dropped_chunks, 16);
         // A fresh client's replay cost is bounded by the surviving subs.
         let missing = journal.missing_chunks(&list(), &ClientListState::default());
         assert!(missing.iter().all(|c| c.kind == ChunkKind::Sub));
     }
 
     #[test]
-    fn auto_compaction_is_amortized_not_per_append() {
-        // A pure-add journal has nothing to net, so compaction can never
-        // shrink it below the bound; the geometric trigger must not
-        // degenerate into one full-journal pass per append.
-        let mut journal = ChunkJournal::new(4);
-        for i in 0..200u32 {
-            journal.append(list(), ChunkKind::Add, vec![p(i)]);
-        }
-        let stats = journal.stats();
-        assert_eq!(stats.add_chunks, 200, "nothing nettable, nothing lost");
-        assert!(
-            stats.compactions <= 16,
-            "expected O(log n) passes over 200 appends, got {}",
-            stats.compactions
-        );
+    fn compaction_event_reports_live_chunks_after_the_sub() {
+        let mut journal = ChunkJournal::default();
+        journal.append(list(), ChunkKind::Add, vec![p(1)]);
+        journal.append(list(), ChunkKind::Add, vec![p(2)]);
+        journal.append(list(), ChunkKind::Sub, vec![p(3)]); // nets nothing
+        journal.append(list(), ChunkKind::Sub, vec![p(1)]); // drops add 1
+        let compactions: Vec<u64> = journal
+            .telemetry()
+            .trace()
+            .snapshot()
+            .of_kind(TraceKind::Compaction)
+            .iter()
+            .map(|event| event.value)
+            .collect();
+        // Add 2 and both subs are live; the sub that netted nothing is no
+        // compaction.
+        assert_eq!(compactions, vec![3]);
+        assert_eq!(journal.stats().compactions, 1);
     }
 
     #[test]

@@ -54,7 +54,7 @@ mod tcp;
 
 pub use blacklist::{Blacklist, PrefixDigestHistogram};
 pub use chaos::{ChaosProxy, ChaosSchedule, ChaosStats, Fault};
-pub use journal::{ChunkJournal, JournalStats, DEFAULT_AUTO_COMPACT_ABOVE};
+pub use journal::{ChunkJournal, JournalStats};
 pub use log::{LoggedRequest, QueryLog};
 pub use observe::{ObservationLog, ObservedRequest, ObservingService};
 pub use server::{SafeBrowsingServer, ServerError, DEFAULT_NEXT_UPDATE_SECONDS};

@@ -70,8 +70,8 @@ pub struct SafeBrowsingServer {
     /// resolve concurrently (and fan out internally) while updates and
     /// logging proceed under the other locks.
     lists: RwLock<BTreeMap<ListName, Blacklist>>,
-    /// Per-list chunk journal (append + compaction), used to serve exact
-    /// incremental deltas.
+    /// Per-list chunk journal, netted as each sub chunk lands, used to
+    /// serve exact incremental deltas.
     journal: Mutex<ChunkJournal>,
     log: Mutex<LogState>,
     next_update_seconds: u64,
@@ -111,6 +111,8 @@ impl SafeBrowsingServer {
     /// Publishes the server's chunk-journal counters and trace events
     /// into a shared [`sb_telemetry::Telemetry`] plane — one scrape then
     /// spans the backend alongside every other layer sharing the handle.
+    /// The journal's counters live in the plane, so attach it before the
+    /// first mutation.
     pub fn with_telemetry(self, telemetry: sb_telemetry::Telemetry) -> Self {
         {
             let mut journal = self.lock_journal();
@@ -279,7 +281,9 @@ impl SafeBrowsingServer {
         Ok(self.blacklist_expressions(list, expressions)?.len())
     }
 
-    /// Removes prefixes from a list via a sub chunk.
+    /// Removes prefixes from a list via a sub chunk.  The journal nets the
+    /// sub as it lands: its prefixes leave every earlier add chunk, and
+    /// adds it empties are dropped.
     ///
     /// # Errors
     ///
@@ -340,16 +344,9 @@ impl SafeBrowsingServer {
     }
 
     /// Journal accounting: live chunks and prefixes per kind, appends,
-    /// compaction effects.
+    /// netting effects.
     pub fn journal_stats(&self) -> JournalStats {
         self.lock_journal().stats()
-    }
-
-    /// Compacts every list's journal now (netting subbed prefixes out of
-    /// earlier add chunks, dropping emptied add chunks).  Compaction also
-    /// runs automatically when a list's journal outgrows its bound.
-    pub fn compact_journal(&self) {
-        self.lock_journal().compact_all();
     }
 
     fn lock_journal(&self) -> std::sync::MutexGuard<'_, ChunkJournal> {

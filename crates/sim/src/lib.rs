@@ -6,7 +6,7 @@
 //!
 //! The per-client machinery elsewhere in this workspace answers
 //! micro-questions — does a shaper split a batch, does the driver honour a
-//! hint, does the journal compact.  The paper's Section 6.3 questions are
+//! hint, does the journal net a removal.  The paper's Section 6.3 questions are
 //! population-scale: across a real-sized client fleet, what fraction of
 //! tracked-page visitors does the provider re-identify *per mitigation*?
 //! How does the provider's own `next_update_seconds` hint shape its load

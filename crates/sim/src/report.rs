@@ -96,11 +96,11 @@ pub struct EpochJournal {
     pub live_prefixes: usize,
     /// Chunks appended over the journal's lifetime.
     pub appends: usize,
-    /// Prefixes netted away by compaction.
+    /// Prefixes netted out of add chunks by later sub appends.
     pub netted_prefixes: usize,
     /// Add chunks dropped because netting emptied them.
     pub dropped_chunks: usize,
-    /// Compaction passes run.
+    /// Sub appends that netted at least one prefix.
     pub compactions: usize,
 }
 

@@ -30,8 +30,9 @@ pub enum TraceKind {
     /// A client applied update chunks, or the server journal appended one.
     /// `value`: chunks applied (client) or prefixes carried (server).
     ChunkApply,
-    /// The server journal ran a compaction pass.  `value`: live chunks
-    /// remaining after the pass.
+    /// A sub chunk appended to the server journal netted at least one
+    /// prefix out of the list's add chunks.  `value`: the list's live
+    /// chunks after the append.
     Compaction,
     /// A database update exchange completed.  `value`: chunks delivered.
     Update,

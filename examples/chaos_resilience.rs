@@ -11,9 +11,9 @@ use std::time::Duration;
 
 use safe_browsing_privacy::client::{
     BreakerPolicy, CircuitBreakerTransport, ClientConfig, RetryPolicy, RetryingTransport,
-    SafeBrowsingClient, TcpTransport, VirtualClock,
+    SafeBrowsingClient, TcpTransport,
 };
-use safe_browsing_privacy::protocol::Provider;
+use safe_browsing_privacy::protocol::{Provider, VirtualClock};
 use safe_browsing_privacy::server::{
     ChaosProxy, ChaosSchedule, Fault, SafeBrowsingServer, TcpServingTier, TierConfig,
 };

@@ -35,7 +35,7 @@
 //! ([`protocol::ServiceError`]) and latency on top of any other transport,
 //! and [`client::RetryingTransport`] adds the deployed services' retry
 //! policy (provider back-off honoured, deterministic jittered exponential
-//! fallback, injectable [`client::Clock`]).  On the provider side,
+//! fallback, injectable [`protocol::Clock`]).  On the provider side,
 //! [`server::ShardedProvider`] scales the backend to an N-shard fleet that
 //! routes each request by prefix lead byte and degrades — rather than
 //! fails — under partial outage, and [`server::ObservingService`] taps any

@@ -22,11 +22,11 @@ use std::time::Duration;
 
 use safe_browsing_privacy::client::{
     ClientConfig, InProcessTransport, RetryPolicy, RetryingTransport, SafeBrowsingClient,
-    SimulatedTransport, Transport, TransportService, VirtualClock,
+    SimulatedTransport, Transport, TransportService,
 };
 use safe_browsing_privacy::hash::prefix32;
 use safe_browsing_privacy::protocol::{
-    FullHashRequest, Provider, SafeBrowsingService, ServiceError, ThreatCategory,
+    FullHashRequest, Provider, SafeBrowsingService, ServiceError, ThreatCategory, VirtualClock,
 };
 use safe_browsing_privacy::server::{SafeBrowsingServer, ShardHandle, ShardedProvider};
 

@@ -33,10 +33,9 @@ use std::sync::Arc;
 
 use safe_browsing_privacy::client::{
     ClientConfig, RetryPolicy, RetryingTransport, SafeBrowsingClient, TcpTransport, Transport,
-    VirtualClock,
 };
 use safe_browsing_privacy::protocol::{
-    FullHashRequest, ListName, Provider, ServiceError, ThreatCategory, UpdateRequest,
+    FullHashRequest, ListName, Provider, ServiceError, ThreatCategory, UpdateRequest, VirtualClock,
 };
 use safe_browsing_privacy::server::{
     ObservationLog, ObservingService, SafeBrowsingServer, ShardHandle, ShardedProvider,

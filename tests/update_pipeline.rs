@@ -6,21 +6,26 @@
 //! pipeline"):
 //!
 //! ```text
-//! SafeBrowsingServer          per-list ChunkJournal (append + compaction)
+//! SafeBrowsingServer          per-list ChunkJournal, netted per sub append
 //!   └─ update(ranges)         exactly the missing chunks, subs first
 //!        └─ LocalDatabase     hygiene → ordering → net delta
 //!             └─ GenerationalStore   overlay absorb / threshold rebuild
 //!                  └─ DatabaseReader concurrent lookups, never blocked
 //! ```
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use safe_browsing_privacy::client::{ClientConfig, SafeBrowsingClient, UpdateDriver, VirtualClock};
-use safe_browsing_privacy::hash::{prefix32, Prefix};
+use proptest::prelude::*;
+use safe_browsing_privacy::client::{
+    ClientConfig, LocalDatabase, SafeBrowsingClient, UpdateDriver,
+};
+use safe_browsing_privacy::hash::{prefix32, Prefix, PrefixLen};
 use safe_browsing_privacy::protocol::{
-    Provider, SafeBrowsingService, ThreatCategory, UpdateRequest,
+    Chunk, ChunkKind, ClientListState, ListName, Provider, SafeBrowsingService, ThreatCategory,
+    UpdateRequest, VirtualClock,
 };
 use safe_browsing_privacy::server::SafeBrowsingServer;
 use safe_browsing_privacy::store::StoreBackend;
@@ -99,8 +104,9 @@ fn server_serves_exact_deltas_for_out_of_order_states() {
     assert!(response.next_update_seconds > 0);
 }
 
-/// Journal compaction nets removed prefixes out of history: a fresh
-/// client's replay shrinks, while an already-synced client stays correct.
+/// Journal netting strips removed prefixes out of history as the sub
+/// lands: a fresh client's replay shrinks, while an already-synced client
+/// stays correct.
 #[test]
 fn journal_compaction_preserves_convergence() {
     let server = server();
@@ -114,18 +120,17 @@ fn journal_compaction_preserves_convergence() {
             .unwrap();
         synced.update().unwrap();
     }
+    let before = server.journal_stats();
     server
         .remove_prefixes(LIST, (0..38u32).map(Prefix::from_u32))
         .unwrap();
-
-    let before = server.journal_stats();
-    server.compact_journal();
     let after = server.journal_stats();
     assert!(after.netted_prefixes >= 38, "netting must fire: {after:?}");
-    assert!(after.live_prefixes < before.live_prefixes);
+    // Un-netted, the journal would hold every add plus the 38-prefix sub.
+    assert!(after.live_prefixes < before.live_prefixes + 38);
     assert!(after.compactions > before.compactions);
 
-    // A fresh client syncing after compaction converges to the same
+    // A fresh client syncing after netting converges to the same
     // membership as the long-synced client.
     synced.update().unwrap();
     let mut fresh = client(&server, StoreBackend::Indexed);
@@ -135,7 +140,7 @@ fn journal_compaction_preserves_convergence() {
         assert_eq!(
             fresh.database_contains(&p),
             synced.database_contains(&p),
-            "prefix {v} diverged after compaction"
+            "prefix {v} diverged after netting"
         );
     }
     assert_eq!(fresh.database_prefix_count(), 2); // 40 added, 38 removed
@@ -271,4 +276,102 @@ fn malformed_update_responses_are_rejected_atomically() {
     assert_eq!(client.database_prefix_count(), 0);
     assert_eq!(client.metrics().updates, 0);
     assert_eq!(client.metrics().service_errors, 1);
+}
+
+/// Size of the prefix universe the random histories draw from: small, so
+/// re-adds and removals of absent prefixes are common.
+const UNIVERSE: u32 = 12;
+
+/// A database that has applied `chunks` — a client whose last sync
+/// received exactly that response.
+fn database_after(chunks: &[Chunk]) -> LocalDatabase {
+    let mut db = LocalDatabase::new(StoreBackend::Indexed, PrefixLen::L32);
+    db.subscribe(LIST);
+    db.apply_chunks(chunks).unwrap();
+    db
+}
+
+/// The chunks `server` sends a client holding `lists`.
+fn served(server: &SafeBrowsingServer, lists: Vec<(ListName, ClientListState)>) -> Vec<Chunk> {
+    server.update(&UpdateRequest { lists }).unwrap().chunks
+}
+
+proptest! {
+    /// Random add/remove histories, with clients syncing at random points
+    /// along the way.  After every step: a fresh client equals the model
+    /// membership; every earlier-synced client equals it after one more
+    /// update; and the fresh client's response holds no empty add and no
+    /// add carrying a prefix that a later sub removed.
+    #[test]
+    fn random_histories_converge_and_serve_only_netted_adds(
+        steps in prop::collection::vec(
+            (any::<bool>(), prop::collection::vec(0u32..UNIVERSE, 1..5), any::<bool>()),
+            1..24,
+        ),
+    ) {
+        let server = server();
+        let mut model = BTreeSet::new();
+        // Every appended chunk in chronological order: (kind, number, prefixes).
+        let mut history: Vec<(ChunkKind, u32, Vec<Prefix>)> = Vec::new();
+        let (mut adds, mut subs) = (0u32, 0u32);
+        // The response each earlier-synced client received when it synced.
+        // Every check rebuilds the client from it, so it stays as stale as
+        // the step it synced at.
+        let mut synced: Vec<Vec<Chunk>> = Vec::new();
+
+        for (is_add, values, sync_here) in steps {
+            let prefixes: Vec<Prefix> = values.iter().map(|&v| Prefix::from_u32(v)).collect();
+            if is_add {
+                server.inject_prefixes(LIST, prefixes.clone()).unwrap();
+                model.extend(values.iter().copied());
+                adds += 1;
+                history.push((ChunkKind::Add, adds, prefixes));
+            } else {
+                server.remove_prefixes(LIST, prefixes.clone()).unwrap();
+                for v in &values {
+                    model.remove(v);
+                }
+                subs += 1;
+                history.push((ChunkKind::Sub, subs, prefixes));
+            }
+
+            let mut fresh = client(&server, StoreBackend::Indexed);
+            fresh.update().unwrap();
+            for v in 0..UNIVERSE {
+                prop_assert_eq!(fresh.database_contains(&Prefix::from_u32(v)), model.contains(&v));
+            }
+            prop_assert_eq!(fresh.database_prefix_count(), model.len());
+
+            for chunks in &synced {
+                let mut stale = database_after(chunks);
+                let delta = served(&server, stale.update_request_lists());
+                stale.apply_chunks(&delta).unwrap();
+                for v in 0..UNIVERSE {
+                    prop_assert_eq!(stale.contains(&Prefix::from_u32(v)), model.contains(&v));
+                }
+                prop_assert_eq!(stale.prefix_count(), model.len());
+            }
+
+            let response = served(&server, vec![(LIST.into(), ClientListState::default())]);
+            for chunk in response.iter().filter(|c| c.kind == ChunkKind::Add) {
+                prop_assert!(!chunk.prefixes.is_empty(), "empty add {} served", chunk.number);
+                let at = history
+                    .iter()
+                    .position(|(kind, number, _)| *kind == ChunkKind::Add && *number == chunk.number)
+                    .unwrap();
+                for (kind, number, removed) in &history[at + 1..] {
+                    if *kind == ChunkKind::Sub {
+                        prop_assert!(
+                            chunk.prefixes.iter().all(|p| !removed.contains(p)),
+                            "add {} carries a prefix sub {number} removed",
+                            chunk.number
+                        );
+                    }
+                }
+            }
+            if sync_here {
+                synced.push(response);
+            }
+        }
+    }
 }
