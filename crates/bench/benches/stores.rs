@@ -2,8 +2,8 @@
 //! time and lookup latency of the raw table, the delta-coded table, the
 //! Bloom filter and the lead-indexed table at the deployed database size
 //! (~630 k prefixes) and at the 1M-prefix scale the throughput harness
-//! targets; plus the snapshot pipeline (`snapshot_load` — serialize,
-//! validate, deep-verify a 1M-prefix buffer) and the bucket-scan kernels
+//! targets; plus the snapshot pipeline (`snapshot_load` — build, validate,
+//! load, deep-verify a 1M-prefix buffer) and the bucket-scan kernels
 //! (`simd_vs_scalar` — the dispatched SIMD scan against the scalar scan
 //! and the binary search, on bucket shapes either side of the crossover).
 
@@ -16,10 +16,7 @@ use sb_hash::{Prefix, PrefixLen};
 use sb_store::scan::{
     active_backend, binary_search_rows, scan_linear, scan_linear_scalar, LINEAR_SCAN_MAX,
 };
-use sb_store::{
-    build_store, serialize_snapshot, IndexedPrefixTable, PrefixStore, SharedSnapshot, SnapshotView,
-    StoreBackend,
-};
+use sb_store::{build_store, IndexedPrefixTable, PrefixStore, SnapshotView, StoreBackend};
 
 const DB_SIZE: usize = 630_428;
 const MILLION: usize = 1_000_000;
@@ -91,15 +88,13 @@ fn bench_lookup_1m(c: &mut Criterion) {
             })
         });
     }
-    // The zero-copy snapshot of the indexed table, answering the same
-    // workload straight off its serialized bytes.
-    let shared = SharedSnapshot::from_table(&IndexedPrefixTable::from_prefixes(
-        PrefixLen::L32,
-        prefixes.iter().copied(),
-    ));
+    // The indexed table loaded back from a copy of its bytes, answering
+    // the same workload from the loaded buffer.
+    let table = IndexedPrefixTable::from_prefixes(PrefixLen::L32, prefixes.iter().copied());
+    let loaded = IndexedPrefixTable::from_bytes(Arc::from(&table.bytes()[..])).expect("valid");
     group.bench_with_input(
         BenchmarkId::from_parameter("snapshot"),
-        &shared,
+        &loaded,
         |b, store| {
             let mut i = 0;
             b.iter(|| {
@@ -111,26 +106,27 @@ fn bench_lookup_1m(c: &mut Criterion) {
     group.finish();
 }
 
-/// The snapshot pipeline at the acceptance scale: serializing a 1M-prefix
-/// indexed table, loading it back (validation is O(header + index), never
-/// O(rows) — the load numbers must not move with the row count), and the
-/// opt-in deep payload verification, which *is* O(rows).
+/// The snapshot pipeline at the acceptance scale: building a 1M-prefix
+/// indexed table straight into its buffer, loading a buffer back
+/// (validation is O(header + index), never O(rows) — the load numbers must
+/// not move with the row count), and the opt-in deep payload
+/// verification, which *is* O(rows).
 fn bench_snapshot_load(c: &mut Criterion) {
     let prefixes = random_prefixes(MILLION);
     let table = IndexedPrefixTable::from_prefixes(PrefixLen::L32, prefixes.iter().copied());
-    let bytes: Arc<[u8]> = Arc::from(serialize_snapshot(&table));
-    let view = SnapshotView::parse(&bytes).expect("serializer output validates");
+    let bytes = Arc::clone(table.bytes());
+    let view = table.view();
 
     let mut group = c.benchmark_group("snapshot_load");
     group.sample_size(10);
-    group.bench_function("serialize_1m", |b| {
-        b.iter(|| std::hint::black_box(serialize_snapshot(&table)))
+    group.bench_function("build_1m", |b| {
+        b.iter(|| IndexedPrefixTable::from_prefixes(PrefixLen::L32, prefixes.iter().copied()))
     });
     group.bench_function("parse_1m", |b| {
         b.iter(|| SnapshotView::parse(std::hint::black_box(&bytes)).expect("valid"))
     });
-    group.bench_function("shared_load_1m", |b| {
-        b.iter(|| SharedSnapshot::new(Arc::clone(&bytes)).expect("valid"))
+    group.bench_function("load_1m", |b| {
+        b.iter(|| IndexedPrefixTable::from_bytes(Arc::clone(&bytes)).expect("valid"))
     });
     group.bench_function("deep_verify_1m", |b| {
         b.iter(|| view.verify_payload().expect("intact"))

@@ -82,8 +82,8 @@ fn main() {
          (ratio ~1.9) and beats the constant 3 MB Bloom filter; from 64-bit prefixes onward the\n\
          Bloom filter would be smaller, but it is static and has intrinsic false positives —\n\
          which is why Google kept 32-bit prefixes and the delta-coded table (Section 2.2.2).\n\
-         The indexed table is the opposite trade: raw size + a fixed 0.25 MB lead index bought\n\
-         for lookup speed, the backend the throughput harness recommends when memory is not\n\
-         the constraint."
+         The indexed table is the opposite trade: raw size + a fixed 0.25 MB lead index (elided\n\
+         below 4,096 prefixes) bought for lookup speed, the backend the throughput harness\n\
+         recommends when memory is not the constraint."
     );
 }

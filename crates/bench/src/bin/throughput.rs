@@ -113,10 +113,11 @@
 //!   `run_perf_budget`).  `scan_backend` names the dispatched scan kernel
 //!   (`avx2` / `sse2` / `scalar`); `measured` holds best-of-N
 //!   microbenchmarks of the hot paths: `indexed_lookup_ns` and
-//!   `snapshot_lookup_ns` (per-`contains` latency of the indexed table and
-//!   its zero-copy snapshot over a mixed probe set), `snapshot_load_ms`
-//!   (full validation of the serialized buffer — O(header + index), so it
-//!   must not scale with the row count), `simd_scan_ns` /
+//!   `snapshot_lookup_ns` (per-`contains` latency over a mixed probe set
+//!   of the indexed table as built by `from_prefixes`, and of a copy of
+//!   its bytes loaded by `from_bytes`), `snapshot_load_ms` (`from_bytes`:
+//!   full validation of the buffer — O(header + index), so it must not
+//!   scale with the row count), `simd_scan_ns` /
 //!   `scalar_scan_ns` / `simd_speedup` (the dispatched vs scalar bucket
 //!   kernels on one skewed bucket) and `allocs_per_cache_hit_lookup`
 //!   (copied from the indexed backend report).  `budgets` holds the
@@ -145,7 +146,7 @@ use sb_server::{
     TcpServingTier, TierConfig,
 };
 use sb_store::scan::{active_backend, scan_linear, scan_linear_scalar, LINEAR_SCAN_MAX};
-use sb_store::{serialize_snapshot, IndexedPrefixTable, PrefixStore, SharedSnapshot, StoreBackend};
+use sb_store::{IndexedPrefixTable, PrefixStore, StoreBackend};
 use sb_telemetry::{RegistrySnapshot, Telemetry};
 use sb_url::CanonicalUrl;
 
@@ -1518,7 +1519,8 @@ fn run_perf_budget(config: &Config, allocs_per_cache_hit_lookup: f64) -> PerfBud
         .map(|_| Prefix::from_u32(rng.gen()))
         .collect();
     let table = IndexedPrefixTable::from_prefixes(PrefixLen::L32, prefixes.iter().copied());
-    let bytes: Arc<[u8]> = Arc::from(serialize_snapshot(&table));
+    // A separate copy of the bytes, as a client reads them back from disk.
+    let bytes: Arc<[u8]> = Arc::from(&table.bytes()[..]);
 
     // Loading = full validation (header, meta CRC, bucket-index structure)
     // of the shared buffer; O(header + index), never O(rows).
@@ -1526,13 +1528,13 @@ fn run_perf_budget(config: &Config, allocs_per_cache_hit_lookup: f64) -> PerfBud
         .map(|_| {
             let started = Instant::now();
             std::hint::black_box(
-                SharedSnapshot::new(Arc::clone(&bytes)).expect("serializer output validates"),
+                IndexedPrefixTable::from_bytes(Arc::clone(&bytes)).expect("built bytes validate"),
             );
             started.elapsed().as_secs_f64() * 1e3
         })
         .fold(f64::INFINITY, f64::min);
 
-    let shared = SharedSnapshot::new(Arc::clone(&bytes)).expect("serializer output validates");
+    let loaded = IndexedPrefixTable::from_bytes(bytes).expect("built bytes validate");
     // Half the probes are present, half absent, interleaved.
     let probes: Vec<Prefix> = (0..8192)
         .map(|i| {
@@ -1544,7 +1546,7 @@ fn run_perf_budget(config: &Config, allocs_per_cache_hit_lookup: f64) -> PerfBud
         })
         .collect();
     let indexed_lookup_ns = time_store_lookups(&table, &probes);
-    let snapshot_lookup_ns = time_store_lookups(&shared, &probes);
+    let snapshot_lookup_ns = time_store_lookups(&loaded, &probes);
 
     // Kernel-level head-to-head on one skewed crossover-size bucket
     // (LINEAR_SCAN_MAX rows of 8-byte rows): the largest bucket the linear

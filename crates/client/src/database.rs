@@ -17,21 +17,22 @@
 //! 2. **Ordering** — sub chunks apply before add chunks (ascending chunk
 //!    number per list), the contract documented on
 //!    [`UpdateResponse`](sb_protocol::UpdateResponse).
-//! 3. **Generational apply** — the *net* union-membership delta is
-//!    absorbed into the snapshot's overlay; only an overlay past the
-//!    [`OverlayPolicy`] bound pays for a full rebuild.  The new snapshot is
-//!    published by an atomic [`Arc`] swap, so concurrent readers
+//! 3. **Generational apply** — the union-membership delta, collected in
+//!    the same pass that mutates the lists, is absorbed into the
+//!    snapshot's overlay; only a delta that would push the overlay past
+//!    the [`OverlayPolicy`] bound pays for a full rebuild.  The new
+//!    snapshot is published by an atomic [`Arc`] swap, so concurrent readers
 //!    ([`DatabaseReader`]) never block on an update and always see a fully
 //!    consistent generation.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::{Arc, RwLock};
 
 use sb_hash::{Prefix, PrefixLen};
 use sb_protocol::{Chunk, ChunkKind, ClientListState, ListName, MixedPrefixLengths};
 use sb_store::{
-    serialize_snapshot, GenerationalStats, GenerationalStore, IndexedPrefixTable, OverlayPolicy,
-    PrefixStore, SharedSnapshot, SnapshotError, StoreBackend,
+    GenerationalStats, GenerationalStore, IndexedPrefixTable, OverlayPolicy, PrefixStore,
+    SnapshotError, StoreBackend,
 };
 
 /// The atomically-swapped snapshot slot shared by the database and its
@@ -175,8 +176,8 @@ pub struct LocalDatabase {
     backend: StoreBackend,
     prefix_len: PrefixLen,
     /// Master copy: per-list sets of prefixes — the authoritative
-    /// membership the generational store consolidates from when its
-    /// overlay outgrows the policy bound.
+    /// membership the generational store rebuilds from when a delta would
+    /// push its overlay past the policy bound.
     lists: BTreeMap<ListName, BTreeSet<Prefix>>,
     /// Per-list chunk state echoed back in update requests.
     states: BTreeMap<ListName, ClientListState>,
@@ -286,7 +287,7 @@ impl LocalDatabase {
             return None;
         }
         let table = IndexedPrefixTable::from_prefixes(self.prefix_len, self.all_prefixes());
-        Some(Arc::from(serialize_snapshot(&table).into_boxed_slice()))
+        Some(Arc::clone(table.bytes()))
     }
 
     /// Loads a database directly over a serialized snapshot buffer with
@@ -317,9 +318,9 @@ impl LocalDatabase {
         bytes: Arc<[u8]>,
         policy: OverlayPolicy,
     ) -> Result<Self, SnapshotError> {
-        let shared = SharedSnapshot::new(bytes)?;
-        let prefix_len = shared.prefix_len();
-        let store = GenerationalStore::from_shared_snapshot(shared, policy);
+        let table = IndexedPrefixTable::from_bytes(bytes)?;
+        let prefix_len = table.prefix_len();
+        let store = GenerationalStore::from_shared_snapshot(table, policy);
         let mut db = Self::shared_from_snapshot(StoreBackend::Indexed, prefix_len, Arc::new(store));
         db.policy = policy;
         Ok(db)
@@ -371,10 +372,11 @@ impl LocalDatabase {
     /// (idempotent re-delivery).  Returns the number of chunks applied.
     ///
     /// Sub chunks are applied before add chunks (ascending number per
-    /// list), per the response ordering contract.  The resulting net
+    /// list), per the response ordering contract.  The resulting
     /// union-membership delta is absorbed into the snapshot's overlay; a
-    /// full store rebuild happens only when the overlay crosses the
-    /// [`OverlayPolicy`] bound.  The new snapshot is published atomically:
+    /// full store rebuild happens instead when the delta would push the
+    /// overlay past the [`OverlayPolicy`] bound.  The new snapshot is
+    /// published atomically:
     /// concurrent [`DatabaseReader`]s never see a partial delta.
     ///
     /// # Errors
@@ -445,33 +447,33 @@ impl LocalDatabase {
         }
 
         // ---- phase 3: mutate the master copy, tracking the union delta -----
-        // `union_before` memoizes each touched prefix's union membership
-        // *before* this response, so the net delta handed to the store is
-        // exact even when several chunks touch the same prefix.
-        let mut union_before: HashMap<Prefix, bool> = HashMap::new();
+        // A sub joins the delta when it removes the prefix from the last
+        // list holding it, an add when it puts the prefix into the first.
+        // A prefix subbed and re-added in one response lands in both, and
+        // the store's subs-first order nets it back to present.
+        let mut delta_adds: Vec<Prefix> = Vec::new();
+        let mut delta_subs: Vec<Prefix> = Vec::new();
         let mut applied = 0usize;
         for chunk in subs.iter().chain(adds.iter()) {
-            for p in &chunk.prefixes {
-                if !union_before.contains_key(p) {
-                    union_before.insert(*p, self.union_contains(p));
-                }
-            }
-            let set = self
+            // Take the chunk's list out of the map, so `self.lists` holds
+            // exactly the *other* lists while it is mutated.
+            let (name, mut set) = self
                 .lists
-                .get_mut(&chunk.list)
+                .remove_entry(&chunk.list)
                 .expect("subscription checked in phase 2");
-            match chunk.kind {
-                ChunkKind::Add => {
-                    for p in &chunk.prefixes {
-                        set.insert(*p);
-                    }
-                }
-                ChunkKind::Sub => {
-                    for p in &chunk.prefixes {
-                        set.remove(p);
+            for p in &chunk.prefixes {
+                let changed = match chunk.kind {
+                    ChunkKind::Add => set.insert(*p),
+                    ChunkKind::Sub => set.remove(p),
+                };
+                if changed && !self.lists.values().any(|other| other.contains(p)) {
+                    match chunk.kind {
+                        ChunkKind::Add => delta_adds.push(*p),
+                        ChunkKind::Sub => delta_subs.push(*p),
                     }
                 }
             }
+            self.lists.insert(name, set);
             self.states
                 .get_mut(&chunk.list)
                 .expect("subscription checked in phase 2")
@@ -479,23 +481,10 @@ impl LocalDatabase {
             applied += 1;
         }
 
-        // ---- phase 4: absorb the net delta, publish the new snapshot -------
-        let mut delta_adds: Vec<Prefix> = Vec::new();
-        let mut delta_subs: Vec<Prefix> = Vec::new();
-        for (p, before) in &union_before {
-            let after = self.union_contains(p);
-            match (before, after) {
-                (false, true) => delta_adds.push(*p),
-                (true, false) => delta_subs.push(*p),
-                _ => {}
-            }
-        }
+        // ---- phase 4: absorb the delta (or rebuild), publish the snapshot --
         if !delta_adds.is_empty() || !delta_subs.is_empty() {
             let mut next = (*self.snapshot.load()).clone();
-            next.apply_delta(&delta_adds, &delta_subs);
-            if next.needs_rebuild() {
-                next.consolidate_from(self.all_prefixes());
-            }
+            next.absorb_or_rebuild(&delta_adds, &delta_subs, || self.all_prefixes());
             self.snapshot.publish(Arc::new(next));
         }
         Ok(applied)
@@ -552,10 +541,6 @@ impl LocalDatabase {
     /// deltas absorbed on the overlay path, full rebuilds, overlay size.
     pub fn store_stats(&self) -> GenerationalStats {
         self.snapshot.load().stats()
-    }
-
-    fn union_contains(&self, prefix: &Prefix) -> bool {
-        self.lists.values().any(|set| set.contains(prefix))
     }
 
     fn all_prefixes(&self) -> BTreeSet<Prefix> {
@@ -805,7 +790,8 @@ mod tests {
         db.apply_chunks(&[Chunk::add("l", 1, (0..100).map(Prefix::from_u32).collect())])
             .unwrap();
         let before = db.store_stats();
-        // 10 overlay entries > bound of 4: the apply consolidates.
+        // A 10-entry delta would push the overlay past the bound of 4: the
+        // apply rebuilds instead of absorbing.
         db.apply_chunks(&[Chunk::add(
             "l",
             2,

@@ -37,7 +37,9 @@ use std::time::Duration;
 
 use sb_protocol::{SafeBrowsingService, ServiceError};
 use sb_telemetry::{Counter, Telemetry, TraceKind};
-use sb_wire::{crc32, decode_payload, encode_frame, FrameHeader, Message, HEADER_LEN};
+use sb_wire::{
+    crc32, decode_payload, encode_frame, read_payload, FrameHeader, Message, HEADER_LEN,
+};
 
 /// The service handle a serving tier fronts.
 pub type DynService = Arc<dyn SafeBrowsingService + Send + Sync>;
@@ -554,10 +556,9 @@ fn read_request(
             }))
         }
     };
-    let mut payload = vec![0u8; parsed.payload_len as usize];
-    if stream.read_exact(&mut payload).is_err() {
+    let Ok(payload) = read_payload(stream, parsed.payload_len) else {
         return Err(ConnectionEnd::Done);
-    }
+    };
     shared.stats.frames_received.inc();
     shared
         .stats

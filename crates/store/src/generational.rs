@@ -1,5 +1,5 @@
-//! Generational prefix store: an immutable indexed base plus a small
-//! mutable overlay.
+//! Generational prefix store: an immutable base plus a small mutable
+//! overlay.
 //!
 //! Every exact backend in this crate is built once and queried forever —
 //! the fast lookup structures (sorted rows, lead index, delta coding) don't
@@ -7,9 +7,9 @@
 //! cost a full O(n) rebuild, exactly like Chromium's early `PrefixSet`
 //! rebuilds.  [`GenerationalStore`] absorbs small deltas instead: adds land
 //! in an overlay set, removals in a tombstone set, and membership consults
-//! the overlay before falling through to the indexed base.  Only when the
-//! overlay grows past the [`OverlayPolicy`] threshold is a rebuild (a new
-//! *generation*) worth its O(n) cost.
+//! the overlay before falling through to the base.  Only when a delta
+//! would grow the overlay past the [`OverlayPolicy`] threshold is a
+//! rebuild (a new *generation*) worth its O(n) cost.
 //!
 //! The store is cheap to clone — the base is shared behind an [`Arc`], the
 //! overlay sets are bounded by policy — so an updater can clone the current
@@ -23,7 +23,6 @@ use std::sync::Arc;
 use sb_hash::{Prefix, PrefixLen};
 
 use crate::build_store;
-use crate::snapshot::SharedSnapshot;
 use crate::traits::{PrefixStore, StoreBackend};
 use crate::IndexedPrefixTable;
 
@@ -31,9 +30,9 @@ use crate::IndexedPrefixTable;
 /// base.
 ///
 /// The overlay (adds + tombstones) is allowed to grow to
-/// `max(min_overlay, max_overlay_fraction × base_len)` entries; the next
-/// absorbed delta that pushes it past the bound marks the store as needing
-/// a rebuild.  With the defaults, a 1% delta against a 1M-prefix base
+/// `max(min_overlay, max_overlay_fraction × base_len)` entries; a delta
+/// that would push it past the bound is not absorbed but triggers a
+/// rebuild instead.  With the defaults, a 1% delta against a 1M-prefix base
 /// (10 000 entries vs a 20 000 bound) is absorbed without touching the
 /// base, while repeated churn is eventually consolidated so lookups never
 /// scan an unbounded overlay.
@@ -108,12 +107,8 @@ pub struct GenerationalStats {
 pub struct GenerationalStore {
     backend: StoreBackend,
     prefix_len: PrefixLen,
-    /// The immutable, shareable indexed base.
-    base: Arc<dyn PrefixStore>,
-    /// The serialized snapshot buffer backing `base`, when the backend is
-    /// [`StoreBackend::Indexed`]: the same physical bytes the base queries,
-    /// available for saving or sharing without re-serialization.
-    base_snapshot: Option<Arc<[u8]>>,
+    /// The immutable, shareable base.
+    base: Base,
     /// Exact number of prefixes in the base (cached; `base.len()`).
     base_len: usize,
     /// Prefixes present on top of the base.
@@ -124,10 +119,38 @@ pub struct GenerationalStore {
     generation: u64,
     deltas_absorbed: u64,
     rebuilds: u64,
-    /// True while the most recent `apply_delta` has been counted as
-    /// absorbed but no rebuild has followed yet; a `rebuild_from` directly
-    /// after it reclassifies that delta as consolidated, not absorbed.
-    last_delta_counted: bool,
+}
+
+/// The immutable base of a [`GenerationalStore`].
+#[derive(Clone)]
+enum Base {
+    /// The lead-indexed table: its buffer is also the persistable,
+    /// shareable snapshot.
+    Indexed(IndexedPrefixTable),
+    /// Any other backend.
+    Other(Arc<dyn PrefixStore>),
+}
+
+impl Base {
+    fn build(
+        backend: StoreBackend,
+        prefix_len: PrefixLen,
+        prefixes: impl IntoIterator<Item = Prefix>,
+    ) -> Self {
+        match backend {
+            StoreBackend::Indexed => {
+                Base::Indexed(IndexedPrefixTable::from_prefixes(prefix_len, prefixes))
+            }
+            _ => Base::Other(Arc::from(build_store(backend, prefix_len, prefixes))),
+        }
+    }
+
+    fn store(&self) -> &dyn PrefixStore {
+        match self {
+            Base::Indexed(table) => table,
+            Base::Other(store) => &**store,
+        }
+    }
 }
 
 impl std::fmt::Debug for GenerationalStore {
@@ -161,13 +184,12 @@ impl GenerationalStore {
         prefixes: impl IntoIterator<Item = Prefix>,
         policy: OverlayPolicy,
     ) -> Self {
-        let (base, base_snapshot) = build_base(backend, prefix_len, prefixes);
-        let base_len = base.len();
+        let base = Base::build(backend, prefix_len, prefixes);
+        let base_len = base.store().len();
         GenerationalStore {
             backend,
             prefix_len,
             base,
-            base_snapshot,
             base_len,
             overlay_adds: BTreeSet::new(),
             tombstones: BTreeSet::new(),
@@ -175,57 +197,78 @@ impl GenerationalStore {
             generation: 0,
             deltas_absorbed: 0,
             rebuilds: 0,
-            last_delta_counted: false,
         }
     }
 
-    /// Builds generation 0 directly over a validated snapshot buffer — no
-    /// row-by-row rebuild, no per-row work at all: the snapshot's bytes
+    /// Builds generation 0 directly over an indexed table — typically one
+    /// loaded with [`IndexedPrefixTable::from_bytes`], so there is no
+    /// row-by-row rebuild and no per-row work at all: the snapshot's bytes
     /// *are* the base.  This is the instant-start path for a client that
     /// persisted its database with
     /// [`base_snapshot`](Self::base_snapshot) and reloads it on boot.
-    pub fn from_shared_snapshot(snapshot: SharedSnapshot, policy: OverlayPolicy) -> Self {
-        let prefix_len = snapshot.prefix_len();
-        let base_len = snapshot.len();
-        let base_snapshot = Some(Arc::clone(snapshot.bytes()));
+    pub fn from_shared_snapshot(table: IndexedPrefixTable, policy: OverlayPolicy) -> Self {
         GenerationalStore {
             backend: StoreBackend::Indexed,
-            prefix_len,
-            base: Arc::new(snapshot),
-            base_snapshot,
-            base_len,
+            prefix_len: table.prefix_len(),
+            base_len: table.len(),
+            base: Base::Indexed(table),
             overlay_adds: BTreeSet::new(),
             tombstones: BTreeSet::new(),
             policy,
             generation: 0,
             deltas_absorbed: 0,
             rebuilds: 0,
-            last_delta_counted: false,
         }
     }
 
-    /// The serialized snapshot buffer backing the current base, when the
-    /// backend is [`StoreBackend::Indexed`] — the exact bytes the base
-    /// queries, shareable (`Arc` clone) with any number of shards or
-    /// readers and loadable with [`Self::from_shared_snapshot`].
+    /// The snapshot buffer backing the current base, when the backend is
+    /// [`StoreBackend::Indexed`] — the exact bytes the base queries,
+    /// shareable (`Arc` clone) with any number of shards or readers and
+    /// loadable with [`IndexedPrefixTable::from_bytes`] and
+    /// [`Self::from_shared_snapshot`].
     ///
     /// The buffer covers the **base generation only**; overlay adds and
     /// tombstones absorbed since the last rebuild are not reflected.
     pub fn base_snapshot(&self) -> Option<&Arc<[u8]>> {
-        self.base_snapshot.as_ref()
+        match &self.base {
+            Base::Indexed(table) => Some(table.bytes()),
+            Base::Other(_) => None,
+        }
     }
 
-    /// Absorbs one delta into the overlay: `subs` are applied first, then
-    /// `adds` (the update-response ordering contract), so a prefix present
-    /// in both ends up **present**.
+    /// Applies one update delta, deciding absorb-or-rebuild **before**
+    /// touching the overlay: when the overlay plus the delta stays within
+    /// the [`OverlayPolicy`] bound, the delta is absorbed
+    /// ([`Self::apply_delta`]); otherwise a new generation is built from
+    /// `full()`, the caller's authoritative membership *after* the delta
+    /// (the overlay cannot reconstruct it: base stores don't iterate).
     ///
-    /// The delta is always absorbed; the caller checks
-    /// [`Self::needs_rebuild`] afterwards and, when it fires, calls
-    /// [`Self::rebuild_from`] with the full membership (the overlay cannot
-    /// reconstruct it: base stores don't iterate).
+    /// The bound check counts every delta entry as growth, so a delta
+    /// that would partly cancel overlay entries can rebuild slightly early;
+    /// membership is the same either way.
+    pub fn absorb_or_rebuild<I: IntoIterator<Item = Prefix>>(
+        &mut self,
+        adds: &[Prefix],
+        subs: &[Prefix],
+        full: impl FnOnce() -> I,
+    ) {
+        let grown = self
+            .overlay_len()
+            .saturating_add(adds.len())
+            .saturating_add(subs.len());
+        if grown > self.policy.bound(self.base_len) {
+            self.rebuild_from(full());
+        } else {
+            self.apply_delta(adds, subs);
+        }
+    }
+
+    /// Absorbs one delta into the overlay, whatever its size: `subs` are
+    /// applied first, then `adds` (the update-response ordering contract),
+    /// so a prefix present in both ends up **present**.
     pub fn apply_delta(&mut self, adds: &[Prefix], subs: &[Prefix]) {
         for p in subs {
-            if !self.overlay_adds.remove(p) && self.base.contains(p) {
+            if !self.overlay_adds.remove(p) && self.base.store().contains(p) {
                 self.tombstones.insert(*p);
             }
         }
@@ -233,50 +276,24 @@ impl GenerationalStore {
             if self.tombstones.remove(p) {
                 continue; // back to plain base membership
             }
-            if !self.base.contains(p) {
+            if !self.base.store().contains(p) {
                 self.overlay_adds.insert(*p);
             }
         }
         if !adds.is_empty() || !subs.is_empty() {
             self.deltas_absorbed += 1;
-            self.last_delta_counted = true;
-        } else {
-            self.last_delta_counted = false;
         }
-    }
-
-    /// True when the overlay has outgrown the policy bound and the next
-    /// update should consolidate into a new base generation.
-    pub fn needs_rebuild(&self) -> bool {
-        self.overlay_len() > self.policy.bound(self.base_len)
     }
 
     /// Rebuilds into a new generation: a fresh base built from `prefixes`
     /// (the caller's authoritative full membership) and an empty overlay.
-    /// Pure rebuild — accounting of previously absorbed deltas is left
-    /// untouched; use [`Self::consolidate_from`] for the standard
-    /// "absorb, then consolidate if over the bound" sequence.
     pub fn rebuild_from(&mut self, prefixes: impl IntoIterator<Item = Prefix>) {
-        let (base, base_snapshot) = build_base(self.backend, self.prefix_len, prefixes);
-        self.base = base;
-        self.base_snapshot = base_snapshot;
-        self.base_len = self.base.len();
+        self.base = Base::build(self.backend, self.prefix_len, prefixes);
+        self.base_len = self.base.store().len();
         self.overlay_adds.clear();
         self.tombstones.clear();
         self.generation += 1;
         self.rebuilds += 1;
-        self.last_delta_counted = false;
-    }
-
-    /// [`Self::rebuild_from`], called because the delta just absorbed by
-    /// [`Self::apply_delta`] pushed the overlay over the bound: that delta
-    /// is reclassified as consolidated, not absorbed, so `deltas_absorbed`
-    /// means exactly "deltas served from the overlay without paying O(n)".
-    pub fn consolidate_from(&mut self, prefixes: impl IntoIterator<Item = Prefix>) {
-        if self.last_delta_counted {
-            self.deltas_absorbed -= 1;
-        }
-        self.rebuild_from(prefixes);
     }
 
     /// Current overlay size (adds + tombstones).
@@ -310,27 +327,6 @@ impl GenerationalStore {
     }
 }
 
-/// Builds a base store.  The Indexed backend consolidates **through the
-/// snapshot serializer**: the table's rows and bucket index are emitted as
-/// one flat buffer and the base becomes a [`SharedSnapshot`] over it, so
-/// the queried bytes and the persistable/shareable bytes are the same
-/// allocation.  Other backends build as before and carry no snapshot.
-fn build_base(
-    backend: StoreBackend,
-    prefix_len: PrefixLen,
-    prefixes: impl IntoIterator<Item = Prefix>,
-) -> (Arc<dyn PrefixStore>, Option<Arc<[u8]>>) {
-    match backend {
-        StoreBackend::Indexed => {
-            let table = IndexedPrefixTable::from_prefixes(prefix_len, prefixes);
-            let shared = SharedSnapshot::from_table(&table);
-            let buf = Arc::clone(shared.bytes());
-            (Arc::new(shared), Some(buf))
-        }
-        _ => (Arc::from(build_store(backend, prefix_len, prefixes)), None),
-    }
-}
-
 impl PrefixStore for GenerationalStore {
     fn backend_name(&self) -> &'static str {
         "generational"
@@ -352,17 +348,17 @@ impl PrefixStore for GenerationalStore {
         if self.tombstones.contains(prefix) {
             return false;
         }
-        self.overlay_adds.contains(prefix) || self.base.contains(prefix)
+        self.overlay_adds.contains(prefix) || self.base.store().contains(prefix)
     }
 
     fn memory_bytes(&self) -> usize {
         // The overlay estimate charges each entry its prefix payload plus
         // B-tree node overhead (~2 words amortized).
-        self.base.memory_bytes() + self.overlay_len() * (std::mem::size_of::<Prefix>() + 16)
+        self.base.store().memory_bytes() + self.overlay_len() * (std::mem::size_of::<Prefix>() + 16)
     }
 
     fn intrinsic_false_positive_rate(&self) -> f64 {
-        self.base.intrinsic_false_positive_rate()
+        self.base.store().intrinsic_false_positive_rate()
     }
 }
 
@@ -380,7 +376,6 @@ mod tests {
         let mut store =
             GenerationalStore::build(StoreBackend::Indexed, PrefixLen::L32, prefixes(0..1000));
         store.apply_delta(&prefixes(1000..1010), &prefixes(0..10));
-        assert!(!store.needs_rebuild());
         assert_eq!(store.len(), 1000);
         assert!(store.contains(&Prefix::from_u32(1005)));
         assert!(!store.contains(&Prefix::from_u32(5)));
@@ -422,7 +417,7 @@ mod tests {
     }
 
     #[test]
-    fn policy_threshold_marks_rebuild_needed() {
+    fn policy_bound_decides_absorb_or_rebuild_up_front() {
         let policy = OverlayPolicy {
             min_overlay: 8,
             max_overlay_fraction: 0.0,
@@ -433,24 +428,23 @@ mod tests {
             prefixes(0..100),
             policy,
         );
-        store.apply_delta(&prefixes(1000..1008), &[]);
-        assert!(!store.needs_rebuild(), "8 entries is within the bound");
-        store.apply_delta(&prefixes(1008..1009), &[]);
-        assert!(store.needs_rebuild(), "9th entry crosses the bound");
+        let full = |end| prefixes(0..100).into_iter().chain(prefixes(1000..end));
+        store.absorb_or_rebuild(&prefixes(1000..1008), &[], || full(1008));
+        let stats = store.stats();
+        assert_eq!((stats.deltas_absorbed, stats.rebuilds), (1, 0), "8 fit");
+        assert_eq!(stats.overlay_len, 8);
 
-        // The caller consolidates with the authoritative membership.
-        let full: Vec<Prefix> = prefixes(0..100)
-            .into_iter()
-            .chain(prefixes(1000..1009))
-            .collect();
-        store.rebuild_from(full.iter().copied());
-        assert!(!store.needs_rebuild());
+        // A 9th entry would cross the bound: the store rebuilds from the
+        // caller's membership instead, and the delta is not counted as
+        // absorbed.
+        store.absorb_or_rebuild(&prefixes(1008..1009), &[], || full(1009));
+        let stats = store.stats();
+        assert_eq!((stats.deltas_absorbed, stats.rebuilds), (1, 1));
         assert_eq!(store.generation(), 1);
-        assert_eq!(store.stats().rebuilds, 1);
         assert_eq!(store.overlay_len(), 0);
         assert_eq!(store.len(), 109);
-        for p in &full {
-            assert!(store.contains(p));
+        for p in full(1009) {
+            assert!(store.contains(&p));
         }
     }
 
@@ -463,9 +457,10 @@ mod tests {
         assert!(policy.bound(1_000_000) >= 10_000);
         let mut store =
             GenerationalStore::build(StoreBackend::Indexed, PrefixLen::L32, prefixes(0..100_000));
-        store.apply_delta(&prefixes(200_000..201_000), &[]); // 1% delta
-        assert!(!store.needs_rebuild());
+        store.absorb_or_rebuild(&prefixes(200_000..201_000), &[], Vec::new); // 1% delta
         assert_eq!(store.stats().rebuilds, 0);
+        assert_eq!(store.stats().deltas_absorbed, 1);
+        assert_eq!(store.len(), 101_000);
     }
 
     #[test]
@@ -515,8 +510,8 @@ mod tests {
 
         // Reloading the buffer is a zero-per-row instant start with
         // identical verdicts, and the clone shares the physical bytes.
-        let shared = SharedSnapshot::new(Arc::clone(buf)).expect("buffer validates");
-        let reloaded = GenerationalStore::from_shared_snapshot(shared, OverlayPolicy::default());
+        let table = IndexedPrefixTable::from_bytes(Arc::clone(buf)).expect("buffer validates");
+        let reloaded = GenerationalStore::from_shared_snapshot(table, OverlayPolicy::default());
         assert!(Arc::ptr_eq(buf, reloaded.base_snapshot().unwrap()));
         assert_eq!(reloaded.len(), store.len());
         assert_eq!(reloaded.backend(), StoreBackend::Indexed);
@@ -535,7 +530,7 @@ mod tests {
         let after = store.base_snapshot().unwrap();
         assert!(!Arc::ptr_eq(&before, after));
         let reloaded = GenerationalStore::from_shared_snapshot(
-            SharedSnapshot::new(Arc::clone(after)).unwrap(),
+            IndexedPrefixTable::from_bytes(Arc::clone(after)).unwrap(),
             OverlayPolicy::default(),
         );
         assert_eq!(reloaded.len(), 200);

@@ -9,22 +9,37 @@
 //! 1M prefixes, typically a single cache line for 32-bit prefixes), with a
 //! binary-search fallback for adversarially skewed buckets.
 //!
-//! The price is a fixed 256 KB for the offset array — irrelevant next to
-//! the 4 MB of a 1M-prefix raw table, but dominant for small lists, which
-//! is why [`StoreBackend::DeltaCoded`](crate::StoreBackend) remains the
+//! The table is stored as one shared `Arc<[u8]>` in the `SBSN` snapshot
+//! layout (parsed by [`SnapshotView`]): the bytes the table queries are
+//! the bytes a client saves, loads and shares across shards and readers,
+//! with no serialization step in between.  Tables under
+//! [`SNAPSHOT_INDEX_MIN_ROWS`] rows elide the 256 KB index, which would
+//! dominate them, and probe the whole row array instead.  Larger tables pay
+//! raw size plus the index, which is why
+//! [`StoreBackend::DeltaCoded`](crate::StoreBackend) remains the
 //! memory-comparison reference and `Indexed` is the *speed* backend.
 
-use sb_hash::{Prefix, PrefixLen};
+use std::sync::Arc;
+
+use sb_hash::{crc32, Crc32, Prefix, PrefixLen};
 
 use crate::rows::sorted_rows;
 use crate::scan;
+use crate::snapshot::{
+    read_u32, SnapshotError, SnapshotView, FLAG_HAS_INDEX, HEADER_LEN, INDEX_LEN,
+    SNAPSHOT_INDEX_MIN_ROWS, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+};
 use crate::traits::PrefixStore;
 
 /// Number of buckets in the two-byte lead index.
 pub(crate) const BUCKETS: usize = 1 << 16;
 
 /// A sorted fixed-width prefix array accelerated by a 2-byte-lead bucket
-/// index.
+/// index, owned as one cheaply-cloneable `SBSN` buffer.
+///
+/// Clones share the physical bytes.  [`bytes`](Self::bytes) hands the
+/// buffer out for saving or sharing, and [`from_bytes`](Self::from_bytes)
+/// takes one back after O(header + index) validation.
 ///
 /// # Examples
 ///
@@ -38,19 +53,25 @@ pub(crate) const BUCKETS: usize = 1 << 16;
 /// );
 /// assert!(table.contains(&prefix32("a.b.c/")));
 /// assert!(!table.contains(&prefix32("unrelated.org/")));
+///
+/// // The table *is* its snapshot: reload the shared bytes as-is.
+/// let reloaded = IndexedPrefixTable::from_bytes(table.bytes().clone()).unwrap();
+/// assert!(reloaded.contains(&prefix32("b.c/")));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexedPrefixTable {
+    /// The validated `SBSN` buffer: header, optional index, sorted rows.
+    buf: Arc<[u8]>,
     prefix_len: PrefixLen,
-    /// Concatenated prefix bytes, sorted by prefix value and deduplicated.
-    data: Vec<u8>,
-    /// `BUCKETS + 1` offsets: rows whose leading two bytes equal `b` live at
-    /// `offsets[b]..offsets[b + 1]`.
-    offsets: Vec<u32>,
+    /// Byte offset of the row region; `HEADER_LEN` when the index is
+    /// elided.
+    rows_start: usize,
 }
 
 impl IndexedPrefixTable {
-    /// Builds a table from an iterator of prefixes.
+    /// Builds a table from an iterator of prefixes, writing the header,
+    /// the bucket index (for at least [`SNAPSHOT_INDEX_MIN_ROWS`] rows) and
+    /// the sorted rows into one buffer.
     ///
     /// # Panics
     ///
@@ -59,48 +80,111 @@ impl IndexedPrefixTable {
         prefix_len: PrefixLen,
         prefixes: impl IntoIterator<Item = Prefix>,
     ) -> Self {
-        let data = sorted_rows(prefix_len, prefixes);
+        let rows = sorted_rows(prefix_len, prefixes);
         let width = prefix_len.bytes();
-        let mut offsets = vec![0u32; BUCKETS + 1];
-        for row in data.chunks_exact(width) {
-            offsets[lead16(row) + 1] += 1;
+        let row_count = rows.len() / width;
+        let with_index = row_count >= SNAPSHOT_INDEX_MIN_ROWS;
+        let rows_start = HEADER_LEN + if with_index { INDEX_LEN } else { 0 };
+
+        let mut buf = Vec::with_capacity(rows_start + rows.len());
+        buf.extend_from_slice(&SNAPSHOT_MAGIC);
+        buf.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        let flags = if with_index { FLAG_HAS_INDEX } else { 0 };
+        buf.extend_from_slice(&flags.to_le_bytes());
+        let bits = u16::try_from(prefix_len.bits()).expect("prefix bits fit u16");
+        buf.extend_from_slice(&bits.to_le_bytes());
+        buf.extend_from_slice(&0u16.to_le_bytes()); // reserved
+        let count = u32::try_from(row_count).expect("row count fits u32");
+        buf.extend_from_slice(&count.to_le_bytes());
+        buf.extend_from_slice(&crc32(&rows).to_le_bytes()); // data_crc
+        buf.extend_from_slice(&[0u8; 4]); // meta_crc, patched below
+
+        if with_index {
+            let mut offsets = vec![0u32; BUCKETS + 1];
+            for row in rows.chunks_exact(width) {
+                offsets[lead16(row) + 1] += 1;
+            }
+            for b in 0..BUCKETS {
+                offsets[b + 1] += offsets[b];
+            }
+            for offset in offsets {
+                buf.extend_from_slice(&offset.to_le_bytes());
+            }
         }
-        for b in 0..BUCKETS {
-            offsets[b + 1] += offsets[b];
-        }
+        let mut meta = Crc32::new();
+        meta.update(&buf[..HEADER_LEN - 4]);
+        meta.update(&buf[HEADER_LEN..]);
+        let meta_crc = meta.finalize().to_le_bytes();
+        buf[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&meta_crc);
+
+        buf.extend_from_slice(&rows);
         IndexedPrefixTable {
+            buf: Arc::from(buf),
             prefix_len,
-            data,
-            offsets,
+            rows_start,
+        }
+    }
+
+    /// Validates `buf` as a snapshot (see [`SnapshotView::parse`]) and takes
+    /// shared ownership of it: O(header + index), no per-row work, no copy.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError`] when `buf` is not a valid snapshot.
+    pub fn from_bytes(buf: Arc<[u8]>) -> Result<Self, SnapshotError> {
+        let view = SnapshotView::parse(&buf)?;
+        let prefix_len = view.prefix_len();
+        let rows_start = buf.len() - view.rows.len();
+        Ok(IndexedPrefixTable {
+            buf,
+            prefix_len,
+            rows_start,
+        })
+    }
+
+    /// The snapshot buffer — clone the `Arc` to share the same physical
+    /// bytes with another shard or reader, or to persist them.
+    pub fn bytes(&self) -> &Arc<[u8]> {
+        &self.buf
+    }
+
+    /// A borrowed view over the buffer (for
+    /// [`SnapshotView::verify_payload`] and friends).
+    pub fn view(&self) -> SnapshotView<'_> {
+        SnapshotView {
+            prefix_len: self.prefix_len,
+            data_crc: read_u32(&self.buf, HEADER_LEN - 8),
+            has_index: self.rows_start > HEADER_LEN,
+            rows: self.rows(),
         }
     }
 
     /// Iterates over the stored prefixes in sorted order.
     pub fn iter(&self) -> impl Iterator<Item = Prefix> + '_ {
-        let width = self.prefix_len.bytes();
-        self.data
-            .chunks_exact(width)
-            .map(move |chunk| Prefix::from_bytes(chunk, self.prefix_len))
+        self.view().iter()
     }
 
     /// Number of rows in the largest bucket (diagnostics: how skewed the
     /// two-byte-lead distribution is).
     pub fn max_bucket_len(&self) -> usize {
-        self.offsets
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .max()
-            .unwrap_or(0)
+        let mut max = 0;
+        let mut run = 0;
+        let mut prev = None;
+        for lead in self
+            .rows()
+            .chunks_exact(self.prefix_len.bytes())
+            .map(lead16)
+        {
+            run = if prev == Some(lead) { run + 1 } else { 1 };
+            prev = Some(lead);
+            max = max.max(run);
+        }
+        max
     }
 
-    /// The sorted, concatenated row bytes (snapshot serializer input).
-    pub(crate) fn row_bytes(&self) -> &[u8] {
-        &self.data
-    }
-
-    /// The `BUCKETS + 1` bucket offsets (snapshot serializer input).
-    pub(crate) fn bucket_offsets(&self) -> &[u32] {
-        &self.offsets
+    /// The sorted row region.
+    fn rows(&self) -> &[u8] {
+        &self.buf[self.rows_start..]
     }
 }
 
@@ -119,7 +203,7 @@ impl PrefixStore for IndexedPrefixTable {
     }
 
     fn len(&self) -> usize {
-        self.data.len() / self.prefix_len.bytes()
+        self.rows().len() / self.prefix_len.bytes()
     }
 
     fn contains(&self, prefix: &Prefix) -> bool {
@@ -127,22 +211,29 @@ impl PrefixStore for IndexedPrefixTable {
             return false;
         }
         let target = prefix.as_bytes();
-        let bucket = lead16(target);
-        let lo = self.offsets[bucket] as usize;
-        let hi = self.offsets[bucket + 1] as usize;
-        if lo == hi {
-            return false;
-        }
         let width = self.prefix_len.bytes();
+        let (head, rows) = self.buf.split_at(self.rows_start);
+        // Both regions come from the cached row offset.  Validation
+        // guarantees monotonic offsets bounded by the row count, so the
+        // slicing below cannot fail on a buffer that passed `from_bytes`.
+        let bucket = if head.len() == HEADER_LEN {
+            rows
+        } else {
+            let at = HEADER_LEN + lead16(target) * 4;
+            let pair = &head[at..at + 8];
+            let lo = read_u32(pair, 0) as usize;
+            let hi = read_u32(pair, 4) as usize;
+            &rows[lo * width..hi * width]
+        };
         // Tiny buckets take a vectorized (SIMD where available) linear
         // scan; adversarially skewed ones past `scan::LINEAR_SCAN_MAX`
         // fall back to a binary search — see the `scan` module for the
         // kernels and dispatch rules.
-        scan::scan_bucket(&self.data[lo * width..hi * width], width, target)
+        scan::scan_bucket(bucket, width, target)
     }
 
     fn memory_bytes(&self) -> usize {
-        self.data.len() + self.offsets.len() * std::mem::size_of::<u32>()
+        self.buf.len()
     }
 }
 
@@ -168,6 +259,25 @@ mod tests {
             .collect()
     }
 
+    /// `values` as two tables: as given (too few rows, so the index is
+    /// elided) and padded with filler rows under leads `0x2000..0x3000` up
+    /// to the index threshold, so both probe paths run.
+    fn both_layouts(values: &[u32]) -> [IndexedPrefixTable; 2] {
+        let filler = (0..SNAPSHOT_INDEX_MIN_ROWS as u32).map(|i| 0x2000_0000 + i * 0x1_0001);
+        let tables = [
+            IndexedPrefixTable::from_prefixes(
+                PrefixLen::L32,
+                values.iter().map(|&v| Prefix::from_u32(v)),
+            ),
+            IndexedPrefixTable::from_prefixes(
+                PrefixLen::L32,
+                values.iter().copied().chain(filler).map(Prefix::from_u32),
+            ),
+        ];
+        assert!(!tables[0].view().has_index() && tables[1].view().has_index());
+        tables
+    }
+
     #[test]
     fn contains_all_inserted() {
         let prefixes = sample(5000, PrefixLen::L32);
@@ -181,15 +291,17 @@ mod tests {
     #[test]
     fn agrees_with_raw_table_on_membership() {
         for len in PrefixLen::ALL {
-            let prefixes = sample(2000, len);
-            let indexed = IndexedPrefixTable::from_prefixes(len, prefixes.clone());
-            let raw = RawPrefixTable::from_prefixes(len, prefixes);
-            for p in sample(2000, len) {
-                assert_eq!(indexed.contains(&p), raw.contains(&p), "len={len}");
-            }
-            for i in 0..500 {
-                let q = digest_url(&format!("absent{i}.org/")).prefix(len);
-                assert_eq!(indexed.contains(&q), raw.contains(&q), "absent len={len}");
+            for n in [2000, SNAPSHOT_INDEX_MIN_ROWS + 100] {
+                let prefixes = sample(n, len);
+                let indexed = IndexedPrefixTable::from_prefixes(len, prefixes.clone());
+                let raw = RawPrefixTable::from_prefixes(len, prefixes.clone());
+                for p in &prefixes {
+                    assert_eq!(indexed.contains(p), raw.contains(p), "len={len} n={n}");
+                }
+                for i in 0..500 {
+                    let q = digest_url(&format!("absent{i}.org/")).prefix(len);
+                    assert_eq!(indexed.contains(&q), raw.contains(&q), "absent len={len}");
+                }
             }
         }
     }
@@ -207,23 +319,24 @@ mod tests {
             0xffff_0000,
             0xffff_ffff,
         ];
-        let table = IndexedPrefixTable::from_prefixes(PrefixLen::L32, values.map(Prefix::from_u32));
-        for v in values {
-            assert!(table.contains(&Prefix::from_u32(v)), "{v:#x}");
-        }
-        for absent in [0x0000_0001u32, 0x0001_0001, 0x7fff_0000, 0xfffe_ffff] {
-            assert!(!table.contains(&Prefix::from_u32(absent)), "{absent:#x}");
+        for table in both_layouts(&values) {
+            for v in values {
+                assert!(table.contains(&Prefix::from_u32(v)), "{v:#x}");
+            }
+            for absent in [0x0000_0001u32, 0x0001_0001, 0x7fff_0000, 0xfffe_ffff] {
+                assert!(!table.contains(&Prefix::from_u32(absent)), "{absent:#x}");
+            }
         }
     }
 
     #[test]
     fn empty_buckets_answer_false() {
-        let table =
-            IndexedPrefixTable::from_prefixes(PrefixLen::L32, [Prefix::from_u32(0x4242_0001)]);
-        assert!(!table.contains(&Prefix::from_u32(0x4141_0001)));
-        assert!(!table.contains(&Prefix::from_u32(0x4343_0001)));
-        assert!(!table.contains(&Prefix::from_u32(0x4242_0002)));
-        assert!(table.contains(&Prefix::from_u32(0x4242_0001)));
+        for table in both_layouts(&[0x4242_0001]) {
+            assert!(!table.contains(&Prefix::from_u32(0x4141_0001)));
+            assert!(!table.contains(&Prefix::from_u32(0x4343_0001)));
+            assert!(!table.contains(&Prefix::from_u32(0x4242_0002)));
+            assert!(table.contains(&Prefix::from_u32(0x4242_0001)));
+        }
     }
 
     #[test]
@@ -252,16 +365,17 @@ mod tests {
     fn skewed_bucket_falls_back_to_binary_search() {
         // All prefixes share one two-byte lead: a single bucket holding the
         // entire table must still answer correctly (binary-search path).
-        let prefixes: Vec<Prefix> = (0..(4 * scan::LINEAR_SCAN_MAX as u32))
-            .map(|i| Prefix::from_u32(0xabcd_0000 | (i * 3)))
+        let values: Vec<u32> = (0..(4 * scan::LINEAR_SCAN_MAX as u32))
+            .map(|i| 0xabcd_0000 | (i * 3))
             .collect();
-        let table = IndexedPrefixTable::from_prefixes(PrefixLen::L32, prefixes.clone());
-        assert_eq!(table.max_bucket_len(), prefixes.len());
-        for p in &prefixes {
-            assert!(table.contains(p));
+        for table in both_layouts(&values) {
+            assert_eq!(table.max_bucket_len(), values.len());
+            for &v in &values {
+                assert!(table.contains(&Prefix::from_u32(v)));
+            }
+            assert!(!table.contains(&Prefix::from_u32(0xabcd_0001)));
+            assert!(!table.contains(&Prefix::from_u32(0xabce_0000)));
         }
-        assert!(!table.contains(&Prefix::from_u32(0xabcd_0001)));
-        assert!(!table.contains(&Prefix::from_u32(0xabce_0000)));
     }
 
     #[test]
@@ -273,9 +387,18 @@ mod tests {
     }
 
     #[test]
-    fn memory_includes_the_index() {
-        let table = IndexedPrefixTable::from_prefixes(PrefixLen::L32, sample(100, PrefixLen::L32));
-        assert_eq!(table.memory_bytes(), 100 * 4 + (BUCKETS + 1) * 4);
+    fn memory_is_the_buffer_and_small_tables_elide_the_index() {
+        let small = IndexedPrefixTable::from_prefixes(PrefixLen::L32, sample(100, PrefixLen::L32));
+        assert_eq!(small.memory_bytes(), HEADER_LEN + 100 * 4);
+        let large = IndexedPrefixTable::from_prefixes(
+            PrefixLen::L32,
+            sample(SNAPSHOT_INDEX_MIN_ROWS, PrefixLen::L32),
+        );
+        assert_eq!(
+            large.memory_bytes(),
+            HEADER_LEN + INDEX_LEN + large.len() * 4
+        );
+        assert_eq!(large.memory_bytes(), large.bytes().len());
     }
 
     #[test]

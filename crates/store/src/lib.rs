@@ -9,11 +9,16 @@
 //! can swap them freely and compare memory footprint, lookup behaviour and
 //! intrinsic false-positive rates.
 //!
+//! The lead-indexed table is stored as one `Arc<[u8]>` in the `SBSN`
+//! snapshot layout, so the bytes it queries are the bytes a client saves,
+//! loads ([`IndexedPrefixTable::from_bytes`]) and shares across shards and
+//! readers; [`SnapshotView`] is the zero-copy parse of borrowed bytes.
+//!
 //! On top of any backend, [`GenerationalStore`] adds incremental updates:
 //! small add/sub deltas are absorbed into an overlay (an add-set and a
-//! tombstone-set consulted before the immutable base) and only an overlay
-//! past the [`OverlayPolicy`] bound triggers a full rebuild — the update
-//! path of `sb-client`'s local database.
+//! tombstone-set consulted before the immutable base) and only a delta
+//! that would push the overlay past the [`OverlayPolicy`] bound triggers a
+//! full rebuild — the update path of `sb-client`'s local database.
 //!
 //! ## Example
 //!
@@ -50,8 +55,7 @@ pub use generational::{GenerationalStats, GenerationalStore, OverlayPolicy};
 pub use indexed::IndexedPrefixTable;
 pub use raw::RawPrefixTable;
 pub use snapshot::{
-    serialize_snapshot, SharedSnapshot, SnapshotError, SnapshotView, SNAPSHOT_INDEX_MIN_ROWS,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    SnapshotError, SnapshotView, SNAPSHOT_INDEX_MIN_ROWS, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use traits::{PrefixStore, StoreBackend};
 

@@ -1,5 +1,6 @@
-//! Bucket-scan kernels shared by [`IndexedPrefixTable`](crate::IndexedPrefixTable)
-//! and [`SnapshotView`](crate::SnapshotView).
+//! Bucket-scan kernels behind the probe of
+//! [`IndexedPrefixTable`](crate::IndexedPrefixTable), the crate's one
+//! lead-indexed membership test.
 //!
 //! A bucket is a slice of sorted, fixed-width, big-endian prefix rows.
 //! Membership inside a bucket is answered one of three ways:
@@ -317,6 +318,24 @@ mod tests {
             let scalar = scan_linear_scalar(&rows, 8, &target);
             assert_eq!(scan_linear(&rows, 8, &target), scalar, "{probe:#x}");
             assert_eq!(binary_search_rows(&rows, 8, &target), scalar, "{probe:#x}");
+            assert_eq!(scan_bucket(&rows, 8, &target), scalar, "{probe:#x}");
+        }
+    }
+
+    #[test]
+    fn scan_bucket_agrees_across_the_crossover() {
+        // Bucket sizes either side of LINEAR_SCAN_MAX, where the entry
+        // point switches from the linear kernel to the binary search.
+        for n in LINEAR_SCAN_MAX - 2..LINEAR_SCAN_MAX + 3 {
+            let values: Vec<u64> = (0..n as u64).map(|i| i * 3 + 1).collect();
+            let rows32: Vec<u32> = values.iter().map(|&v| v as u32).collect();
+            let (r4, r8) = (rows4(&rows32), rows8(&values));
+            for probe in 0..(n as u64 * 3 + 3) {
+                let (t4, t8) = ((probe as u32).to_be_bytes(), probe.to_be_bytes());
+                let want = probe % 3 == 1 && probe < n as u64 * 3;
+                assert_eq!(scan_bucket(&r4, 4, &t4), want, "n={n} w4 {probe}");
+                assert_eq!(scan_bucket(&r8, 8, &t8), want, "n={n} w8 {probe}");
+            }
         }
     }
 

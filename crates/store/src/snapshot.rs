@@ -1,6 +1,6 @@
-//! Zero-copy snapshot format for [`IndexedPrefixTable`].
+//! Zero-copy snapshot format of [`IndexedPrefixTable`].
 //!
-//! A snapshot is the table's exact in-memory layout made portable: a small
+//! A snapshot is the table's exact in-memory layout, portable as is: a small
 //! versioned header, the 65,536-entry bucket index, and the sorted
 //! fixed-width row array, all little-endian and offset-addressed (no
 //! alignment requirements — every multi-byte field is read with
@@ -31,12 +31,12 @@
 //!
 //! The buffer length must equal `24 + I + R` exactly.
 //!
-//! Lists under [`SNAPSHOT_INDEX_MIN_ROWS`] rows serialize with the index
+//! Tables under [`SNAPSHOT_INDEX_MIN_ROWS`] rows are built with the index
 //! **elided** (flag bit 0 clear): at that size a fixed 256 KB index
 //! dominates the table it accelerates and distorts the paper's Table 2
 //! memory comparison, while a binary search over so few rows is already a
-//! handful of probes.  Lookups against an index-less snapshot go through
-//! the same crossover scan as a single bucket.
+//! handful of probes.  A table without the index probes its whole row
+//! array through the same crossover scan as a single bucket.
 //!
 //! ## Validation contract
 //!
@@ -47,20 +47,18 @@
 //! (`offsets[0] != 0`, non-monotonic offsets, `offsets[65536] !=
 //! row_count`).  What it does *not* do is touch the row region — that is
 //! the zero-per-row guarantee.  Consequently verdict correctness (rows
-//! sorted, rows under their claimed buckets) is guaranteed for
-//! serializer-produced buffers; for buffers from a distrusted channel,
-//! [`SnapshotView::verify_payload`] additionally checks `data_crc` over the
-//! rows in O(rows).  A corrupt row region can never cause unsafety or a
+//! sorted, rows under their claimed buckets) is guaranteed for buffers
+//! written by [`IndexedPrefixTable::from_prefixes`]; for buffers from a
+//! distrusted channel, [`SnapshotView::verify_payload`] additionally checks
+//! `data_crc` over the rows in O(rows).  A corrupt row region can never cause unsafety or a
 //! panic — only wrong verdicts, exactly as a corrupt in-memory table would.
 
 use std::fmt;
-use std::sync::Arc;
 
 use sb_hash::{crc32, Crc32, Prefix, PrefixLen};
 
-use crate::indexed::{lead16, BUCKETS};
-use crate::scan;
-use crate::traits::PrefixStore;
+use crate::indexed::BUCKETS;
+#[cfg(doc)]
 use crate::IndexedPrefixTable;
 
 /// The four magic bytes opening every snapshot: `"SBSN"`.
@@ -69,20 +67,20 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SBSN";
 /// The (only) supported snapshot format version.
 pub const SNAPSHOT_VERSION: u16 = 1;
 
-/// Lists with fewer rows than this serialize without the 256 KB bucket
+/// Tables with fewer rows than this are built without the 256 KB bucket
 /// index (header flag bit 0 clear); lookups fall back to the crossover
 /// scan over the whole row array.
 pub const SNAPSHOT_INDEX_MIN_ROWS: usize = 4096;
 
 /// Flag bit 0: the bucket index region is present.
-const FLAG_HAS_INDEX: u16 = 1;
+pub(crate) const FLAG_HAS_INDEX: u16 = 1;
 /// All flag bits this version understands; anything else is rejected.
 const KNOWN_FLAGS: u16 = FLAG_HAS_INDEX;
 
 /// Fixed header length in bytes.
-const HEADER_LEN: usize = 24;
+pub(crate) const HEADER_LEN: usize = 24;
 /// Length of the bucket-index region when present.
-const INDEX_LEN: usize = (BUCKETS + 1) * 4;
+pub(crate) const INDEX_LEN: usize = (BUCKETS + 1) * 4;
 
 /// Why a byte buffer was rejected as a snapshot.
 ///
@@ -205,54 +203,11 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// Serializes a table into the version-1 snapshot layout.
-///
-/// The bucket index is included only for tables of at least
-/// [`SNAPSHOT_INDEX_MIN_ROWS`] rows (see the module docs on elision).
-/// The output parses back loss-lessly: `SnapshotView::parse(&bytes)` yields
-/// a view verdict-identical to `table` (property-tested).
-pub fn serialize_snapshot(table: &IndexedPrefixTable) -> Vec<u8> {
-    let rows = table.row_bytes();
-    let row_count = table.len();
-    let with_index = row_count >= SNAPSHOT_INDEX_MIN_ROWS;
-    let index_len = if with_index { INDEX_LEN } else { 0 };
-
-    let mut out = Vec::with_capacity(HEADER_LEN + index_len + rows.len());
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    let flags = if with_index { FLAG_HAS_INDEX } else { 0 };
-    out.extend_from_slice(&flags.to_le_bytes());
-    let bits = u16::try_from(table.prefix_len().bits()).expect("prefix bits fit u16");
-    out.extend_from_slice(&bits.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes()); // reserved
-    out.extend_from_slice(
-        &u32::try_from(row_count)
-            .expect("row count fits u32")
-            .to_le_bytes(),
-    );
-    out.extend_from_slice(&crc32(rows).to_le_bytes()); // data_crc
-    out.extend_from_slice(&[0u8; 4]); // meta_crc placeholder
-
-    if with_index {
-        for &offset in table.bucket_offsets() {
-            out.extend_from_slice(&offset.to_le_bytes());
-        }
-    }
-    let mut meta = Crc32::new();
-    meta.update(&out[..HEADER_LEN - 4]);
-    meta.update(&out[HEADER_LEN..]);
-    let meta_crc = meta.finalize().to_le_bytes();
-    out[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&meta_crc);
-
-    out.extend_from_slice(rows);
-    out
-}
-
 fn read_u16(bytes: &[u8], at: usize) -> u16 {
     u16::from_le_bytes([bytes[at], bytes[at + 1]])
 }
 
-fn read_u32(bytes: &[u8], at: usize) -> u32 {
+pub(crate) fn read_u32(bytes: &[u8], at: usize) -> u32 {
     u32::from_le_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
 }
 
@@ -260,33 +215,36 @@ fn read_u32(bytes: &[u8], at: usize) -> u32 {
 ///
 /// Borrowing means the same physical bytes — a `Vec`, an `Arc<[u8]>`, a
 /// memory-mapped file — can back any number of views at once.  The view
-/// implements [`PrefixStore`], and its `contains` goes through the same
-/// [`scan`](crate::scan) kernels as [`IndexedPrefixTable`], so the lookup
-/// hot path is identical for owned and mapped tables.
+/// is the format's parser and inspector; membership queries go through
+/// the owning [`IndexedPrefixTable`], which
+/// [`from_bytes`](IndexedPrefixTable::from_bytes) loads over the same
+/// validation and [`view`](IndexedPrefixTable::view) borrows back.
 ///
 /// # Examples
 ///
 /// ```
 /// use sb_hash::{prefix32, PrefixLen};
-/// use sb_store::{serialize_snapshot, IndexedPrefixTable, PrefixStore, SnapshotView};
+/// use sb_store::{IndexedPrefixTable, SnapshotView};
 ///
 /// let table = IndexedPrefixTable::from_prefixes(
 ///     PrefixLen::L32,
 ///     ["a.b.c/", "b.c/"].iter().map(|e| prefix32(e)),
 /// );
-/// let bytes = serialize_snapshot(&table);
+/// let bytes: Vec<u8> = table.bytes().to_vec();
 /// let view = SnapshotView::parse(&bytes).unwrap();
-/// assert!(view.contains(&prefix32("a.b.c/")));
-/// assert!(!view.contains(&prefix32("unrelated.org/")));
+/// assert_eq!(view.prefix_len(), PrefixLen::L32);
+/// assert_eq!(view.iter().count(), 2);
+/// assert!(!view.has_index());
+/// view.verify_payload().unwrap();
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotView<'a> {
-    prefix_len: PrefixLen,
-    data_crc: u32,
-    /// Raw little-endian `u32` offsets (65,537 × 4 bytes), when present.
-    index: Option<&'a [u8]>,
+    pub(crate) prefix_len: PrefixLen,
+    pub(crate) data_crc: u32,
+    /// True when the 65,536-bucket index region is present.
+    pub(crate) has_index: bool,
     /// The sorted row region.
-    rows: &'a [u8],
+    pub(crate) rows: &'a [u8],
 }
 
 impl<'a> SnapshotView<'a> {
@@ -375,7 +333,7 @@ impl<'a> SnapshotView<'a> {
         Ok(SnapshotView {
             prefix_len,
             data_crc,
-            index,
+            has_index,
             rows,
         })
     }
@@ -397,7 +355,12 @@ impl<'a> SnapshotView<'a> {
 
     /// True when the snapshot carries the 65,536-bucket index region.
     pub fn has_index(&self) -> bool {
-        self.index.is_some()
+        self.has_index
+    }
+
+    /// The width of the stored prefixes.
+    pub fn prefix_len(&self) -> PrefixLen {
+        self.prefix_len
     }
 
     /// Iterates over the stored prefixes in sorted order.
@@ -407,143 +370,14 @@ impl<'a> SnapshotView<'a> {
             .chunks_exact(prefix_len.bytes())
             .map(move |chunk| Prefix::from_bytes(chunk, prefix_len))
     }
-
-    /// The bucket row range for a target, or the whole table when the
-    /// index is elided.
-    fn candidate_rows(&self, target: &[u8]) -> &'a [u8] {
-        match self.index {
-            Some(index) => {
-                let bucket = lead16(target);
-                let lo = read_u32(index, bucket * 4) as usize;
-                let hi = read_u32(index, (bucket + 1) * 4) as usize;
-                let width = self.prefix_len.bytes();
-                &self.rows[lo * width..hi * width]
-            }
-            None => self.rows,
-        }
-    }
-}
-
-impl PrefixStore for SnapshotView<'_> {
-    fn backend_name(&self) -> &'static str {
-        "snapshot"
-    }
-
-    fn prefix_len(&self) -> PrefixLen {
-        self.prefix_len
-    }
-
-    fn len(&self) -> usize {
-        self.rows.len() / self.prefix_len.bytes()
-    }
-
-    fn contains(&self, prefix: &Prefix) -> bool {
-        if prefix.len() != self.prefix_len {
-            return false;
-        }
-        let target = prefix.as_bytes();
-        scan::scan_bucket(self.candidate_rows(target), self.prefix_len.bytes(), target)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        HEADER_LEN + self.index.map_or(0, <[u8]>::len) + self.rows.len()
-    }
-}
-
-/// An owning, cheaply-cloneable snapshot: one `Arc<[u8]>` buffer shared by
-/// every clone, validated exactly once.
-///
-/// This is what [`GenerationalStore`](crate::GenerationalStore) publishes
-/// as its base after a consolidation, and what every shard of a provider
-/// or `DatabaseReader` (in `sb-client`) snapshot holds — clones share the
-/// physical bytes.
-#[derive(Debug, Clone)]
-pub struct SharedSnapshot {
-    buf: Arc<[u8]>,
-    prefix_len: PrefixLen,
-    data_crc: u32,
-    /// Byte range of the index region inside `buf`, when present.
-    index: Option<(usize, usize)>,
-    /// Byte offset where the row region starts.
-    rows_start: usize,
-}
-
-impl SharedSnapshot {
-    /// Validates `buf` (see [`SnapshotView::parse`]) and takes shared
-    /// ownership of it.
-    pub fn new(buf: Arc<[u8]>) -> Result<Self, SnapshotError> {
-        let view = SnapshotView::parse(&buf)?;
-        let prefix_len = view.prefix_len;
-        let data_crc = view.data_crc;
-        let index = view
-            .index
-            .is_some()
-            .then_some((HEADER_LEN, HEADER_LEN + INDEX_LEN));
-        let rows_start = HEADER_LEN + view.index.map_or(0, <[u8]>::len);
-        Ok(SharedSnapshot {
-            buf,
-            prefix_len,
-            data_crc,
-            index,
-            rows_start,
-        })
-    }
-
-    /// Convenience: validate a freshly serialized buffer.
-    pub fn from_vec(bytes: Vec<u8>) -> Result<Self, SnapshotError> {
-        SharedSnapshot::new(Arc::from(bytes.into_boxed_slice()))
-    }
-
-    /// Serializes `table` and wraps the result (infallible: serializer
-    /// output always validates).
-    pub fn from_table(table: &IndexedPrefixTable) -> Self {
-        SharedSnapshot::from_vec(serialize_snapshot(table))
-            .expect("serializer output always validates")
-    }
-
-    /// The underlying snapshot buffer — clone the `Arc` to share the same
-    /// physical bytes with another shard, reader or process stage.
-    pub fn bytes(&self) -> &Arc<[u8]> {
-        &self.buf
-    }
-
-    /// A borrowed view over the shared buffer.
-    pub fn view(&self) -> SnapshotView<'_> {
-        SnapshotView {
-            prefix_len: self.prefix_len,
-            data_crc: self.data_crc,
-            index: self.index.map(|(lo, hi)| &self.buf[lo..hi]),
-            rows: &self.buf[self.rows_start..],
-        }
-    }
-}
-
-impl PrefixStore for SharedSnapshot {
-    fn backend_name(&self) -> &'static str {
-        "snapshot"
-    }
-
-    fn prefix_len(&self) -> PrefixLen {
-        self.prefix_len
-    }
-
-    fn len(&self) -> usize {
-        self.view().len()
-    }
-
-    fn contains(&self, prefix: &Prefix) -> bool {
-        self.view().contains(prefix)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.buf.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{IndexedPrefixTable, PrefixStore};
     use sb_hash::digest_url;
+    use std::sync::Arc;
 
     fn sample(n: usize, len: PrefixLen) -> Vec<Prefix> {
         (0..n)
@@ -551,22 +385,28 @@ mod tests {
             .collect()
     }
 
+    /// A private copy of `table`'s bytes, loaded back as a new table.
+    fn reload(table: &IndexedPrefixTable) -> IndexedPrefixTable {
+        IndexedPrefixTable::from_bytes(Arc::from(table.bytes().to_vec())).expect("valid snapshot")
+    }
+
     #[test]
     fn round_trips_small_and_large() {
         for &n in &[0usize, 1, 100, SNAPSHOT_INDEX_MIN_ROWS + 50] {
             let prefixes = sample(n, PrefixLen::L32);
             let table = IndexedPrefixTable::from_prefixes(PrefixLen::L32, prefixes.clone());
-            let bytes = serialize_snapshot(&table);
-            let view = SnapshotView::parse(&bytes).expect("valid snapshot");
+            let view = SnapshotView::parse(table.bytes()).expect("valid snapshot");
             assert_eq!(view.has_index(), n >= SNAPSHOT_INDEX_MIN_ROWS, "n={n}");
-            assert_eq!(view.len(), table.len());
+            assert_eq!(view, table.view());
             view.verify_payload().expect("payload intact");
+            let reloaded = reload(&table);
+            assert_eq!(reloaded, table);
             for p in &prefixes {
-                assert!(view.contains(p));
+                assert!(reloaded.contains(p));
             }
             for i in 0..200 {
                 let q = digest_url(&format!("absent{i}.org/")).prefix(PrefixLen::L32);
-                assert_eq!(view.contains(&q), table.contains(&q));
+                assert_eq!(reloaded.contains(&q), table.contains(&q));
             }
             let collected: Vec<Prefix> = view.iter().collect();
             let original: Vec<Prefix> = table.iter().collect();
@@ -578,32 +418,31 @@ mod tests {
     fn every_prefix_length_round_trips() {
         for len in PrefixLen::ALL {
             let prefixes = sample(500, len);
-            let table = IndexedPrefixTable::from_prefixes(len, prefixes.clone());
-            let bytes = serialize_snapshot(&table);
-            let view = SnapshotView::parse(&bytes).expect("valid snapshot");
-            assert_eq!(view.prefix_len(), len);
+            let table = reload(&IndexedPrefixTable::from_prefixes(len, prefixes.clone()));
+            assert_eq!(table.prefix_len(), len);
             for p in &prefixes {
-                assert!(view.contains(p), "len={len}");
+                assert!(table.contains(p), "len={len}");
             }
         }
     }
 
     #[test]
-    fn shared_snapshot_clones_share_bytes() {
+    fn clones_and_loads_share_bytes() {
         let table = IndexedPrefixTable::from_prefixes(PrefixLen::L32, sample(100, PrefixLen::L32));
-        let shared = SharedSnapshot::from_table(&table);
-        let clone = shared.clone();
-        assert!(Arc::ptr_eq(shared.bytes(), clone.bytes()));
-        assert_eq!(shared.len(), 100);
+        let clone = table.clone();
+        let loaded = IndexedPrefixTable::from_bytes(Arc::clone(table.bytes())).unwrap();
+        assert!(Arc::ptr_eq(table.bytes(), clone.bytes()));
+        assert!(Arc::ptr_eq(table.bytes(), loaded.bytes()));
+        assert_eq!(loaded.len(), 100);
         for p in table.iter() {
-            assert!(clone.contains(&p));
+            assert!(loaded.contains(&p));
         }
     }
 
     #[test]
     fn truncation_and_corruption_are_typed_errors() {
         let table = IndexedPrefixTable::from_prefixes(PrefixLen::L32, sample(100, PrefixLen::L32));
-        let bytes = serialize_snapshot(&table);
+        let bytes = table.bytes().to_vec();
 
         assert!(matches!(
             SnapshotView::parse(&bytes[..10]),
@@ -617,7 +456,7 @@ mod tests {
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
         assert!(matches!(
-            SnapshotView::parse(&wrong_magic),
+            IndexedPrefixTable::from_bytes(Arc::from(wrong_magic)),
             Err(SnapshotError::BadMagic(_))
         ));
 
@@ -647,19 +486,9 @@ mod tests {
     }
 
     #[test]
-    fn wrong_length_query_is_false() {
-        let table = IndexedPrefixTable::from_prefixes(PrefixLen::L32, sample(10, PrefixLen::L32));
-        let shared = SharedSnapshot::from_table(&table);
-        let d = digest_url("host0.example/page");
-        assert!(shared.contains(&d.prefix32()));
-        assert!(!shared.contains(&d.prefix(PrefixLen::L64)));
-    }
-
-    #[test]
     fn errors_display() {
         let table = IndexedPrefixTable::from_prefixes(PrefixLen::L32, sample(10, PrefixLen::L32));
-        let bytes = serialize_snapshot(&table);
-        let err = SnapshotView::parse(&bytes[..4]).unwrap_err();
+        let err = SnapshotView::parse(&table.bytes()[..4]).unwrap_err();
         assert!(err.to_string().contains("truncated"));
         assert!(std::error::Error::source(&err).is_none());
     }

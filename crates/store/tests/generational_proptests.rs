@@ -37,9 +37,9 @@ fn prefixes(values: &[u32]) -> Vec<Prefix> {
     values.iter().map(|v| Prefix::from_u32(*v)).collect()
 }
 
-/// Drives one backend through the stream, consolidating whenever the
-/// policy fires (exactly as `LocalDatabase` does), and compares against a
-/// store freshly built from the final membership.
+/// Drives one backend through the stream, absorbing or rebuilding as the
+/// policy decides (exactly as `LocalDatabase` does), and compares against
+/// a store freshly built from the final membership.
 fn check_backend(
     backend: StoreBackend,
     initial: &[u32],
@@ -55,10 +55,9 @@ fn check_backend(
     );
     for (adds, subs) in stream {
         apply_reference(&mut reference, adds, subs);
-        store.apply_delta(&prefixes(adds), &prefixes(subs));
-        if store.needs_rebuild() {
-            store.consolidate_from(reference.iter().map(|v| Prefix::from_u32(*v)));
-        }
+        store.absorb_or_rebuild(&prefixes(adds), &prefixes(subs), || {
+            reference.iter().map(|v| Prefix::from_u32(*v))
+        });
     }
 
     let rebuilt = build_store(

@@ -1,20 +1,22 @@
 //! Differential property tests of the bucket-scan kernels: the dispatched
 //! (possibly SIMD) linear scan, the scalar linear scan and the raw binary
 //! search must agree on every input — random buckets, adversarially skewed
-//! buckets, bucket boundaries and the `LINEAR_SCAN_MAX` crossover.
+//! buckets, bucket boundaries and the `LINEAR_SCAN_MAX` crossover — and
+//! the indexed table, whose probe picks between them, must agree with a
+//! plain binary search over its rows.
 //!
-//! CI runs this suite twice: once letting dispatch pick the best kernel
-//! (AVX2 on the runners) and once under `SB_STORE_FORCE_SCALAR=1`, so both
-//! sides of the dispatch are exercised on the same machine.
+//! CI runs the store crate's tests twice: once letting dispatch pick the
+//! best kernel (AVX2 on the runners) and once under
+//! `SB_STORE_FORCE_SCALAR=1`, so both sides of the dispatch are exercised
+//! on the same machine.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use sb_hash::{Prefix, PrefixLen};
 use sb_store::scan::{
-    active_backend, binary_search_rows, scan_bucket, scan_linear, scan_linear_scalar,
-    LINEAR_SCAN_MAX,
+    active_backend, binary_search_rows, scan_linear, scan_linear_scalar, LINEAR_SCAN_MAX,
 };
-use sb_store::{IndexedPrefixTable, PrefixStore, RawPrefixTable};
+use sb_store::{IndexedPrefixTable, PrefixStore, RawPrefixTable, SNAPSHOT_INDEX_MIN_ROWS};
 
 /// Sorted, deduplicated rows of `width` bytes from arbitrary values.
 fn sorted_rows(width: usize, values: Vec<[u8; 32]>) -> Vec<u8> {
@@ -24,7 +26,20 @@ fn sorted_rows(width: usize, values: Vec<[u8; 32]>) -> Vec<u8> {
     rows.into_iter().flatten().collect()
 }
 
-/// All three kernels, compared on one (rows, target) pair.
+/// `values` plus filler rows (one per unused two-byte lead, mid-bucket) up
+/// to the index threshold, so a table built from them carries the bucket
+/// index and its probe takes the indexed path.
+fn pad_to_index(values: &[u32]) -> Vec<u32> {
+    let used: std::collections::HashSet<u32> = values.iter().map(|v| v >> 16).collect();
+    let filler = (0..=0xFFFFu32)
+        .filter(|lead| !used.contains(lead))
+        .take(SNAPSHOT_INDEX_MIN_ROWS)
+        .map(|lead| (lead << 16) | 0x8000);
+    values.iter().copied().chain(filler).collect()
+}
+
+/// The linear kernels and the binary search, compared on one
+/// (rows, target) pair.
 fn assert_kernels_agree(rows: &[u8], width: usize, target: &[u8]) -> Result<(), TestCaseError> {
     let scalar = scan_linear_scalar(rows, width, target);
     prop_assert_eq!(
@@ -38,12 +53,6 @@ fn assert_kernels_agree(rows: &[u8], width: usize, target: &[u8]) -> Result<(), 
         binary_search_rows(rows, width, target),
         scalar,
         "binary search vs scalar, width {}",
-        width
-    );
-    prop_assert_eq!(
-        scan_bucket(rows, width, target),
-        scalar,
-        "crossover entry vs scalar, width {}",
         width
     );
     Ok(())
@@ -90,9 +99,10 @@ proptest! {
     }
 
     /// Adversarially skewed tables: every prefix shares one two-byte lead,
-    /// so the whole table is one bucket.  The indexed table (which takes
+    /// so the whole list is one bucket.  The indexed table (which takes
     /// the binary-search path past the crossover) must agree with the raw
-    /// reference table and with every kernel run directly on the bucket.
+    /// reference table and with every kernel run directly on the bucket,
+    /// with the index elided and with it present.
     #[test]
     fn skewed_single_bucket_agrees_with_reference(
         lead in any::<u16>(),
@@ -104,8 +114,16 @@ proptest! {
             Prefix::from_u32(v)
         };
         let prefixes: Vec<Prefix> = tails.iter().copied().map(make).collect();
-        let indexed = IndexedPrefixTable::from_prefixes(PrefixLen::L32, prefixes.clone());
-        let raw = RawPrefixTable::from_prefixes(PrefixLen::L32, prefixes.clone());
+        let values: Vec<u32> = prefixes.iter().map(Prefix::value).collect();
+        let padded: Vec<Prefix> = pad_to_index(&values).into_iter().map(Prefix::from_u32).collect();
+        let tables = [
+            IndexedPrefixTable::from_prefixes(PrefixLen::L32, prefixes.clone()),
+            IndexedPrefixTable::from_prefixes(PrefixLen::L32, padded.clone()),
+        ];
+        let raws = [
+            RawPrefixTable::from_prefixes(PrefixLen::L32, prefixes.clone()),
+            RawPrefixTable::from_prefixes(PrefixLen::L32, padded),
+        ];
 
         let mut sorted: Vec<u32> = tails.iter().map(|t| (u32::from(lead) << 16) | u32::from(*t)).collect();
         sorted.sort_unstable();
@@ -114,13 +132,15 @@ proptest! {
 
         for t in probe_tails.iter().chain(tails.iter()) {
             let p = make(*t);
-            prop_assert_eq!(indexed.contains(&p), raw.contains(&p));
+            for (indexed, raw) in tables.iter().zip(&raws) {
+                prop_assert_eq!(indexed.contains(&p), raw.contains(&p));
+            }
             assert_kernels_agree(&rows, 4, p.as_bytes())?;
         }
     }
 
     /// Bucket-boundary values: rows at the very edges of buckets, probes
-    /// into adjacent empty buckets.
+    /// into adjacent empty buckets, through an indexed table.
     #[test]
     fn kernels_agree_on_bucket_boundaries(
         leads in prop::collection::vec(any::<u16>(), 1..20),
@@ -134,16 +154,20 @@ proptest! {
         values.sort_unstable();
         values.dedup();
         let rows: Vec<u8> = values.iter().flat_map(|v| v.to_be_bytes()).collect();
+        let mut padded = pad_to_index(&values);
+        padded.sort_unstable();
+        let padded_rows: Vec<u8> = padded.iter().flat_map(|v| v.to_be_bytes()).collect();
         let indexed = IndexedPrefixTable::from_prefixes(
             PrefixLen::L32,
-            values.iter().copied().map(Prefix::from_u32),
+            padded.iter().copied().map(Prefix::from_u32),
         );
+        prop_assert!(indexed.view().has_index());
         for v in values.iter().copied().chain([probe]) {
             let target = v.to_be_bytes();
             assert_kernels_agree(&rows, 4, &target)?;
             prop_assert_eq!(
                 indexed.contains(&Prefix::from_u32(v)),
-                binary_search_rows(&rows, 4, &target)
+                binary_search_rows(&padded_rows, 4, &target)
             );
         }
     }

@@ -1,13 +1,16 @@
 //! Property tests of the snapshot format, mirroring the sb-wire
-//! hostile-input suite: round-trip equality with `from_prefixes` on every
-//! prefix length, and typed rejection — never a panic — of truncated,
-//! corrupted and structurally inconsistent buffers.
+//! hostile-input suite: a table reloaded from its bytes equals the table
+//! built by `from_prefixes` on every prefix length, and truncated,
+//! corrupted and structurally inconsistent buffers get a typed rejection,
+//! never a panic.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use sb_hash::{Prefix, PrefixLen};
 use sb_store::{
-    serialize_snapshot, IndexedPrefixTable, PrefixStore, SharedSnapshot, SnapshotError,
-    SnapshotView, SNAPSHOT_INDEX_MIN_ROWS, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    IndexedPrefixTable, PrefixStore, RawPrefixTable, SnapshotError, SnapshotView,
+    SNAPSHOT_INDEX_MIN_ROWS, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 
 /// Random prefixes of an arbitrary deployed length.
@@ -29,13 +32,16 @@ fn any_len_prefix_vec() -> impl Strategy<Value = (PrefixLen, Vec<Prefix>)> {
 /// A valid serialized snapshot (sometimes big enough to carry the index).
 fn snapshot_bytes() -> impl Strategy<Value = Vec<u8>> {
     any_len_prefix_vec().prop_map(|(len, prefixes)| {
-        serialize_snapshot(&IndexedPrefixTable::from_prefixes(len, prefixes))
+        IndexedPrefixTable::from_prefixes(len, prefixes)
+            .bytes()
+            .to_vec()
     })
 }
 
 proptest! {
-    /// Round trip: a parsed snapshot is verdict-identical to the table it
-    /// was serialized from, on members, non-members and every length.
+    /// Round trip: a table loaded from a copy of another table's bytes is
+    /// the same table, and both answer like a raw binary-search table on
+    /// members, non-members and every length.
     #[test]
     fn round_trip_is_verdict_identical(
         len_and_prefixes in any_len_prefix_vec(),
@@ -43,34 +49,26 @@ proptest! {
     ) {
         let (len, prefixes) = len_and_prefixes;
         let table = IndexedPrefixTable::from_prefixes(len, prefixes.clone());
-        let bytes = serialize_snapshot(&table);
-        let view = SnapshotView::parse(&bytes).expect("serializer output validates");
+        let bytes = table.bytes().to_vec();
+        let view = SnapshotView::parse(&bytes).expect("builder output validates");
         view.verify_payload().expect("payload CRC intact");
-
         prop_assert_eq!(view.prefix_len(), len);
-        prop_assert_eq!(view.len(), table.len());
+
+        let reloaded = IndexedPrefixTable::from_bytes(Arc::from(bytes.as_slice()))
+            .expect("builder output validates");
+        prop_assert_eq!(&reloaded, &table);
+        let raw = RawPrefixTable::from_prefixes(len, prefixes.clone());
+        prop_assert_eq!(reloaded.len(), raw.len());
         for p in &prefixes {
-            prop_assert!(view.contains(p));
+            prop_assert!(reloaded.contains(p));
         }
         for probe in probes {
             let q = Prefix::from_bytes(&probe[..len.bytes()], len);
-            prop_assert_eq!(view.contains(&q), table.contains(&q));
+            prop_assert_eq!(reloaded.contains(&q), raw.contains(&q));
         }
         let round: Vec<Prefix> = view.iter().collect();
         let original: Vec<Prefix> = table.iter().collect();
         prop_assert_eq!(round, original);
-    }
-
-    /// Shared ownership answers exactly like the borrowed view.
-    #[test]
-    fn shared_snapshot_matches_view(len_and_prefixes in any_len_prefix_vec()) {
-        let (len, prefixes) = len_and_prefixes;
-        let table = IndexedPrefixTable::from_prefixes(len, prefixes);
-        let shared = SharedSnapshot::from_table(&table);
-        prop_assert_eq!(shared.len(), table.len());
-        for p in table.iter() {
-            prop_assert!(shared.contains(&p));
-        }
     }
 
     /// Any truncation of a valid snapshot is a typed error, never a panic
@@ -121,12 +119,20 @@ proptest! {
                 // parse() only tolerates flips in the row region (its
                 // contract is zero-per-row work); those must then fail the
                 // payload CRC.
-                prop_assert!(at >= bytes.len() - view.len() * view.prefix_len().bytes());
+                let row_region = view.iter().count() * view.prefix_len().bytes();
+                prop_assert!(at >= bytes.len() - row_region);
                 let caught = matches!(
                     view.verify_payload(),
                     Err(SnapshotError::DataCrcMismatch { .. })
                 );
                 prop_assert!(caught);
+                // A table over the corrupt rows loads and answers (wrongly,
+                // perhaps) without panicking.
+                let table = IndexedPrefixTable::from_bytes(Arc::from(corrupt.clone()))
+                    .expect("parse accepted it");
+                for p in table.iter() {
+                    let _ = table.contains(&p);
+                }
             }
         }
     }
@@ -135,8 +141,12 @@ proptest! {
 // ---- targeted hostile headers (deterministic) ------------------------------
 
 fn valid_snapshot(n: usize) -> Vec<u8> {
+    valid_table(n).bytes().to_vec()
+}
+
+fn valid_table(n: usize) -> IndexedPrefixTable {
     let prefixes = (0..n as u32).map(|i| Prefix::from_u32(i.wrapping_mul(2654435761)));
-    serialize_snapshot(&IndexedPrefixTable::from_prefixes(PrefixLen::L32, prefixes))
+    IndexedPrefixTable::from_prefixes(PrefixLen::L32, prefixes)
 }
 
 /// Recomputes both CRCs after a deliberate structural edit, so the test
@@ -229,7 +239,7 @@ fn misaligned_row_count_is_typed() {
 }
 
 #[test]
-fn non_monotonic_bucket_offsets_are_typed() {
+fn non_monotonic_index_is_typed() {
     let mut bytes = valid_snapshot(SNAPSHOT_INDEX_MIN_ROWS + 100);
     assert!(bytes[6] & 1 != 0, "large snapshot carries the index");
     // Find a bucket whose offset is non-zero and zero it: offsets become
@@ -274,17 +284,15 @@ fn index_total_disagreeing_with_row_count_is_typed() {
 
 #[test]
 fn small_lists_elide_the_index_and_large_lists_carry_it() {
-    let small = valid_snapshot(SNAPSHOT_INDEX_MIN_ROWS - 1);
-    let large = valid_snapshot(SNAPSHOT_INDEX_MIN_ROWS);
-    assert_eq!(small[6] & 1, 0, "small list: index elided");
-    assert_eq!(large[6] & 1, 1, "large list: index present");
+    let small = valid_table(SNAPSHOT_INDEX_MIN_ROWS - 1);
+    let large = valid_table(SNAPSHOT_INDEX_MIN_ROWS);
+    assert_eq!(small.bytes()[6] & 1, 0, "small list: index elided");
+    assert_eq!(large.bytes()[6] & 1, 1, "large list: index present");
+    assert!(!small.view().has_index());
+    assert!(large.view().has_index());
     // The elided index saves the fixed 256 KB.
-    let small_view = SnapshotView::parse(&small).unwrap();
-    let large_view = SnapshotView::parse(&large).unwrap();
-    assert!(!small_view.has_index());
-    assert!(large_view.has_index());
-    assert!(large_view.memory_bytes() - small_view.memory_bytes() > 65536 * 4);
+    assert!(large.memory_bytes() - small.memory_bytes() > 65536 * 4);
     // Both still answer correctly.
-    assert!(small_view.contains(&Prefix::from_u32(2654435761u32.wrapping_mul(1))));
-    assert!(large_view.contains(&Prefix::from_u32(2654435761u32.wrapping_mul(1))));
+    assert!(small.contains(&Prefix::from_u32(2654435761u32.wrapping_mul(1))));
+    assert!(large.contains(&Prefix::from_u32(2654435761u32.wrapping_mul(1))));
 }

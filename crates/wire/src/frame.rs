@@ -396,13 +396,32 @@ pub fn read_message(reader: &mut impl Read) -> Result<(Message, u64), WireError>
     }
     read_exact_mapped(reader, &mut header_bytes[1..])?;
     let header = FrameHeader::decode(&header_bytes)?;
-    let mut payload = vec![0u8; header.payload_len as usize];
-    read_exact_mapped(reader, &mut payload)?;
+    let payload = read_payload(reader, header.payload_len)?;
     if crc32(&payload) != header.checksum {
         return Err(WireError::ChecksumMismatch);
     }
     let message = decode_payload(header.frame_type, &payload)?;
     Ok((message, (HEADER_LEN + payload.len()) as u64))
+}
+
+/// Reads the `len`-byte payload that follows a decoded header.
+///
+/// The buffer grows only as bytes arrive, never up front from the length
+/// the peer claims: a header announcing [`MAX_PAYLOAD`] followed by
+/// silence costs a few bytes of memory, not 64 MiB.  The checksum is left
+/// to the caller.
+///
+/// # Errors
+///
+/// [`WireError::Truncated`] when the stream ends before `len` bytes;
+/// [`WireError::Io`] for any other read error (a timeout included).
+pub fn read_payload(reader: &mut impl Read, len: u32) -> Result<Vec<u8>, WireError> {
+    let mut payload = Vec::new();
+    reader.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() < len as usize {
+        return Err(WireError::Truncated);
+    }
+    Ok(payload)
 }
 
 /// `read_exact` with EOF mapped to [`WireError::Truncated`] (the frame was

@@ -44,6 +44,6 @@ mod frame;
 
 pub use codec::{MAX_LIST_NAME_BYTES, MAX_METRIC_NAME_BYTES, MAX_REASON_BYTES};
 pub use frame::{
-    crc32, decode_frame, decode_payload, encode_frame, read_message, write_message, FrameHeader,
-    FrameType, Message, WireError, HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION,
+    crc32, decode_frame, decode_payload, encode_frame, read_message, read_payload, write_message,
+    FrameHeader, FrameType, Message, WireError, HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION,
 };

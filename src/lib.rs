@@ -15,7 +15,7 @@
 //! |---|---|
 //! | [`hash`] | SHA-256, digests, truncated prefixes |
 //! | [`url`] | canonicalization and decomposition (allocating and zero-alloc visitor forms) |
-//! | [`store`] | raw / delta-coded / Bloom / lead-indexed prefix stores, the zero-copy `SBSN` snapshot format (`SnapshotView` / `SharedSnapshot`) and the runtime-dispatched SIMD bucket-scan kernels |
+//! | [`store`] | raw / delta-coded / Bloom / lead-indexed prefix stores, the zero-copy `SBSN` snapshot format (the table owns its buffer, `SnapshotView` borrows one) and the runtime-dispatched SIMD bucket-scan kernels |
 //! | [`corpus`] | synthetic web corpus and its statistics |
 //! | [`protocol`] | lists, chunks, fallible batched messages, cookies, `ServiceError` |
 //! | [`server`] | the simulated GSB/YSB provider (lead-byte-sharded, concurrent full-hash serving), the `ShardedProvider` fleet, per-connection `ObservingService` taps and the `TcpServingTier` network front |

@@ -1,7 +1,7 @@
 //! End-to-end snapshot persistence: one physical buffer backing many
 //! consumers at once — the owning database that produced it, reloaded
-//! shared databases, their readers, and borrowed `SnapshotView`s — with
-//! verdict parity everywhere and zero row copies.
+//! shared databases, their readers, and a table loaded straight off the
+//! bytes — with verdict parity everywhere and zero row copies.
 
 use std::sync::Arc;
 
@@ -9,7 +9,7 @@ use safe_browsing_privacy::client::LocalDatabase;
 use safe_browsing_privacy::hash::{Prefix, PrefixLen};
 use safe_browsing_privacy::protocol::Chunk;
 use safe_browsing_privacy::store::{
-    GenerationalStore, OverlayPolicy, PrefixStore, SharedSnapshot, SnapshotView, StoreBackend,
+    GenerationalStore, IndexedPrefixTable, OverlayPolicy, PrefixStore, SnapshotView, StoreBackend,
 };
 
 fn prefixes(range: std::ops::Range<u32>) -> Vec<Prefix> {
@@ -44,14 +44,20 @@ fn one_buffer_backs_database_readers_shards_and_views() {
         );
     }
 
-    // Readers over the shards, plus a borrowed view straight off the bytes.
+    // Readers over the shards, plus a table loaded straight off the bytes
+    // and a borrowed view that deep-checks them.
     let readers: Vec<_> = shards.iter().map(LocalDatabase::reader).collect();
-    let view = SnapshotView::parse(&buf).expect("buffer validates");
+    let table = IndexedPrefixTable::from_bytes(Arc::clone(&buf)).expect("buffer validates");
+    assert!(Arc::ptr_eq(table.bytes(), &buf));
+    SnapshotView::parse(&buf)
+        .expect("buffer validates")
+        .verify_payload()
+        .expect("payload intact");
 
     for v in (0..25_000u32).step_by(7) {
         let p = Prefix::from_u32(v);
         let expect = owner.contains(&p);
-        assert_eq!(view.contains(&p), expect, "view parity at {v}");
+        assert_eq!(table.contains(&p), expect, "table parity at {v}");
         for (i, shard) in shards.iter().enumerate() {
             assert_eq!(shard.contains(&p), expect, "shard {i} parity at {v}");
         }
@@ -75,7 +81,7 @@ fn generational_store_round_trips_through_its_snapshot() {
         .base_snapshot()
         .expect("indexed base is snapshot-backed");
     let reloaded = GenerationalStore::from_shared_snapshot(
-        SharedSnapshot::new(Arc::clone(buf)).unwrap(),
+        IndexedPrefixTable::from_bytes(Arc::clone(buf)).unwrap(),
         OverlayPolicy::default(),
     );
     assert_eq!(reloaded.len(), store.len());
