@@ -880,10 +880,10 @@ fn run_tcp_serving(
     let snapshot = admin.scrape_telemetry().expect("telemetry scrape over TCP");
     let admin_stats = admin.stats();
     drop(admin);
-    // Every transport publishes into the one shared registry, so the wire
-    // accounting is a single snapshot read — summing per-transport
-    // `stats()` views would multiply-count the shared counters.
-    let counter = |name: &str| snapshot.counter(name).unwrap_or(0);
+    // Every transport publishes into the one shared registry, so any one
+    // transport's `stats()` view already totals all clients' wire traffic —
+    // summing the views would multiply-count the shared counters.
+    let client_stats = transports[0].stats();
 
     // Close the pooled client connections, then drain the tier; shutdown
     // joins every worker, so the counters it returns are final.  The
@@ -903,19 +903,19 @@ fn run_tcp_serving(
     eprintln!(
         "[tcp_serving] {} conns opened / {} reuses, client {}B out / {}B in; \
          server {} frames in / {} frames out",
-        counter("tcp_client.connections_opened"),
-        counter("tcp_client.connections_reused"),
-        counter("tcp_client.bytes_sent"),
-        counter("tcp_client.bytes_received"),
+        client_stats.connections_opened,
+        client_stats.connections_reused,
+        client_stats.bytes_sent,
+        client_stats.bytes_received,
         server_stats.frames_received,
         server_stats.frames_sent,
     );
     let mut report = scenario_report("tcp_serving", &timed, 1, 0, 0, 0);
     report.wire = Some(WireReport {
-        connections_opened: counter("tcp_client.connections_opened"),
-        connections_reused: counter("tcp_client.connections_reused"),
-        client_bytes_sent: counter("tcp_client.bytes_sent"),
-        client_bytes_received: counter("tcp_client.bytes_received"),
+        connections_opened: client_stats.connections_opened,
+        connections_reused: client_stats.connections_reused,
+        client_bytes_sent: client_stats.bytes_sent,
+        client_bytes_received: client_stats.bytes_received,
         server_connections: server_stats.connections_accepted,
         server_frames_received: server_stats.frames_received,
         server_frames_sent: server_stats.frames_sent,
@@ -1029,12 +1029,13 @@ fn run_chaos_resilience(
 
     // Scrape straight off the tier — not through the proxy, so the admin
     // frame cannot draw a fault — while the chaos workload's connections
-    // are still pooled.  One snapshot read replaces summing per-client
-    // `stats()` views, which would multiply-count the shared counters.
+    // are still pooled.  Every stack shares one plane, so any one stack's
+    // `stats()` view already totals all clients (summing the views would
+    // multiply-count the shared counters).
     let admin = TcpTransport::new(tier.local_addr()).expect("tier address resolves");
     let snapshot = admin.scrape_telemetry().expect("telemetry scrape over TCP");
     drop(admin);
-    let retries = snapshot.counter("retry.retries").unwrap_or(0) as usize;
+    let retries = retrying[0].stats().retries;
 
     // Close the pooled client connections, then drain the proxy and the
     // tier: shutdown joins every connection thread, so the fault counters

@@ -36,7 +36,7 @@ use sb_protocol::{
     Clock, DeadlineBudget, FullHashRequest, FullHashResponse, ServiceError, SystemClock,
     UpdateRequest, UpdateResponse,
 };
-use sb_telemetry::{Counter, Telemetry, TraceKind};
+use sb_telemetry::{Telemetry, TraceKind};
 
 use crate::transport::Transport;
 
@@ -84,22 +84,25 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-/// Counters accumulated by a [`CircuitBreakerTransport`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BreakerStats {
-    /// Exchanges requested by the caller.
-    pub calls: usize,
-    /// Exchanges that reached the inner transport.
-    pub inner_calls: usize,
-    /// Exchanges failed fast because the breaker was open (or a half-open
-    /// probe was already in flight).
-    pub fast_failures: usize,
-    /// Closed→open and half-open→open transitions.
-    pub opens: usize,
-    /// Half-open→closed transitions (a probe succeeded).
-    pub closes: usize,
-    /// Open→half-open transitions (a probe was admitted).
-    pub half_open_probes: usize,
+sb_telemetry::stats! {
+    /// Counters accumulated by a [`CircuitBreakerTransport`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct BreakerStats {
+        /// Exchanges requested by the caller.
+        pub calls: usize = counter,
+        /// Exchanges that reached the inner transport.
+        pub inner_calls: usize = counter,
+        /// Exchanges failed fast because the breaker was open (or a half-open
+        /// probe was already in flight).
+        pub fast_failures: usize = counter,
+        /// Closed→open and half-open→open transitions.
+        pub opens: usize = counter,
+        /// Half-open→closed transitions (a probe succeeded).
+        pub closes: usize = counter,
+        /// Open→half-open transitions (a probe was admitted).
+        pub half_open_probes: usize = counter,
+    }
+    struct BreakerHandles("breaker");
 }
 
 #[derive(Debug)]
@@ -116,43 +119,6 @@ fn state_code(state: &State) -> u64 {
         State::Closed { .. } => 0,
         State::Open { .. } => 1,
         State::HalfOpen => 2,
-    }
-}
-
-/// Registry handles backing [`BreakerStats`]; registered once at
-/// construction, bumped with relaxed atomic adds.
-#[derive(Debug, Clone)]
-struct BreakerHandles {
-    calls: Counter,
-    inner_calls: Counter,
-    fast_failures: Counter,
-    opens: Counter,
-    closes: Counter,
-    half_open_probes: Counter,
-}
-
-impl BreakerHandles {
-    fn register(telemetry: &Telemetry) -> Self {
-        let metrics = telemetry.metrics();
-        BreakerHandles {
-            calls: metrics.counter("breaker.calls"),
-            inner_calls: metrics.counter("breaker.inner_calls"),
-            fast_failures: metrics.counter("breaker.fast_failures"),
-            opens: metrics.counter("breaker.opens"),
-            closes: metrics.counter("breaker.closes"),
-            half_open_probes: metrics.counter("breaker.half_open_probes"),
-        }
-    }
-
-    fn view(&self) -> BreakerStats {
-        BreakerStats {
-            calls: self.calls.get() as usize,
-            inner_calls: self.inner_calls.get() as usize,
-            fast_failures: self.fast_failures.get() as usize,
-            opens: self.opens.get() as usize,
-            closes: self.closes.get() as usize,
-            half_open_probes: self.half_open_probes.get() as usize,
-        }
     }
 }
 

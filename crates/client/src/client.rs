@@ -10,13 +10,13 @@ use sb_protocol::{
     UpdateRequest,
 };
 use sb_store::{PrefixStore, StoreBackend};
-use sb_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceKind};
+use sb_telemetry::{Telemetry, TraceKind};
 use sb_url::{visit_decompositions, CanonicalUrl, DecomposeScratch, ParseUrlError};
 
 use crate::cache::FullHashCache;
 use crate::database::LocalDatabase;
 use crate::ledger::{DisclosureGroup, DisclosureLedger, DisclosureRecord};
-use crate::metrics::ClientMetrics;
+use crate::metrics::{ClientHandles, ClientMetrics};
 use crate::shaper::{ExactShaper, PlannedRequest, QueryShaper, ShaperHit};
 use crate::transport::{InProcessTransport, Transport};
 
@@ -260,7 +260,7 @@ pub struct SafeBrowsingClient {
     /// the registered `client.*` metric handles backing
     /// [`Self::metrics`].
     telemetry: Telemetry,
-    counters: ClientCounters,
+    handles: ClientHandles,
     /// Everything this client has revealed to the provider, request group
     /// by request group (see [`DisclosureLedger`]).
     ledger: DisclosureLedger,
@@ -268,75 +268,6 @@ pub struct SafeBrowsingClient {
     /// lookup (no database hit) performs zero heap allocations once these
     /// have warmed up.
     scratch: LookupScratch,
-}
-
-/// Registry handles backing [`ClientMetrics`].  Registered once at
-/// construction; the lookup hot path only ever touches them with relaxed
-/// atomic adds, keeping the cache-hit path at zero heap allocations.
-#[derive(Debug, Clone)]
-struct ClientCounters {
-    lookups: Counter,
-    local_hits: Counter,
-    requests_sent: Counter,
-    full_hash_round_trips: Counter,
-    prefixes_sent: Counter,
-    dummy_prefixes_sent: Counter,
-    urls_flagged: Counter,
-    updates: Counter,
-    batched_lookups: Counter,
-    service_errors: Counter,
-    chunks_applied: Counter,
-    /// `next_update_seconds + 1` of the most recent update; 0 while no
-    /// update has succeeded (the `Option` sentinel).
-    next_update_hint: Gauge,
-    deltas_absorbed: Gauge,
-    store_rebuilds: Gauge,
-    lookup_ns: Histogram,
-}
-
-impl ClientCounters {
-    fn register(telemetry: &Telemetry) -> Self {
-        let metrics = telemetry.metrics();
-        ClientCounters {
-            lookups: metrics.counter("client.lookups"),
-            local_hits: metrics.counter("client.local_hits"),
-            requests_sent: metrics.counter("client.requests_sent"),
-            full_hash_round_trips: metrics.counter("client.full_hash_round_trips"),
-            prefixes_sent: metrics.counter("client.prefixes_sent"),
-            dummy_prefixes_sent: metrics.counter("client.dummy_prefixes_sent"),
-            urls_flagged: metrics.counter("client.urls_flagged"),
-            updates: metrics.counter("client.updates"),
-            batched_lookups: metrics.counter("client.batched_lookups"),
-            service_errors: metrics.counter("client.service_errors"),
-            chunks_applied: metrics.counter("client.chunks_applied"),
-            next_update_hint: metrics.gauge("client.next_update_hint"),
-            deltas_absorbed: metrics.gauge("client.deltas_absorbed"),
-            store_rebuilds: metrics.gauge("client.store_rebuilds"),
-            lookup_ns: metrics.histogram("client.lookup_ns"),
-        }
-    }
-
-    fn view(&self) -> ClientMetrics {
-        ClientMetrics {
-            lookups: self.lookups.get() as usize,
-            local_hits: self.local_hits.get() as usize,
-            requests_sent: self.requests_sent.get() as usize,
-            full_hash_round_trips: self.full_hash_round_trips.get() as usize,
-            prefixes_sent: self.prefixes_sent.get() as usize,
-            dummy_prefixes_sent: self.dummy_prefixes_sent.get() as usize,
-            urls_flagged: self.urls_flagged.get() as usize,
-            updates: self.updates.get() as usize,
-            batched_lookups: self.batched_lookups.get() as usize,
-            service_errors: self.service_errors.get() as usize,
-            chunks_applied: self.chunks_applied.get() as usize,
-            next_update_hint: match self.next_update_hint.get() {
-                hint if hint > 0 => Some(hint as u64 - 1),
-                _ => None,
-            },
-            deltas_absorbed: self.deltas_absorbed.get() as usize,
-            store_rebuilds: self.store_rebuilds.get() as usize,
-        }
-    }
 }
 
 /// Reusable lookup state (see [`SafeBrowsingClient::check_canonical`]).
@@ -363,14 +294,14 @@ impl SafeBrowsingClient {
             database.subscribe(list.clone());
         }
         let telemetry = config.telemetry.clone().unwrap_or_default();
-        let counters = ClientCounters::register(&telemetry);
+        let handles = ClientHandles::register(&telemetry);
         SafeBrowsingClient {
             config,
             database,
             cache: FullHashCache::new(),
             transport: Box::new(transport),
             telemetry,
-            counters,
+            handles,
             ledger: DisclosureLedger::new(),
             scratch: LookupScratch::default(),
         }
@@ -410,14 +341,14 @@ impl SafeBrowsingClient {
             database.subscribe(list.clone());
         }
         let telemetry = config.telemetry.clone().unwrap_or_default();
-        let counters = ClientCounters::register(&telemetry);
+        let handles = ClientHandles::register(&telemetry);
         SafeBrowsingClient {
             config,
             database,
             cache: FullHashCache::new(),
             transport: Box::new(transport),
             telemetry,
-            counters,
+            handles,
             ledger: DisclosureLedger::new(),
             scratch: LookupScratch::default(),
         }
@@ -499,14 +430,14 @@ impl SafeBrowsingClient {
         let response = match self.transport.update(&request) {
             Ok(response) => response,
             Err(error) => {
-                self.counters.service_errors.inc();
+                self.handles.service_errors.inc();
                 return Err(error);
             }
         };
         let applied = match self.database.apply_chunks(&response.chunks) {
             Ok(applied) => applied,
             Err(rejected) => {
-                self.counters.service_errors.inc();
+                self.handles.service_errors.inc();
                 return Err(ServiceError::MalformedResponse {
                     reason: rejected.to_string(),
                 });
@@ -515,19 +446,16 @@ impl SafeBrowsingClient {
         if applied > 0 {
             self.cache.clear();
         }
-        self.counters.updates.inc();
-        self.counters.chunks_applied.add(applied as u64);
-        // Stored shifted by one so 0 can mean "no update has succeeded".
-        let hint = response
-            .next_update_seconds
-            .saturating_add(1)
-            .min(i64::MAX as u64) as i64;
-        self.counters.next_update_hint.set(hint);
+        self.handles.updates.inc();
+        self.handles.chunks_applied.add(applied as u64);
+        self.handles
+            .next_update_hint
+            .store(Some(response.next_update_seconds));
         let store = self.database.store_stats();
-        self.counters
+        self.handles
             .deltas_absorbed
             .set(store.deltas_absorbed as i64);
-        self.counters.store_rebuilds.set(store.rebuilds as i64);
+        self.handles.store_rebuilds.set(store.rebuilds as i64);
         self.telemetry.event(TraceKind::Update, applied as u64);
         Ok(applied)
     }
@@ -559,7 +487,7 @@ impl SafeBrowsingClient {
     /// Any [`ServiceError`] from the full-hash exchange.
     pub fn check_canonical(&mut self, url: &CanonicalUrl) -> Result<LookupOutcome, ServiceError> {
         let started = self.telemetry.now();
-        self.counters.lookups.inc();
+        self.handles.lookups.inc();
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.hits.clear();
         Self::collect_local_hits(
@@ -577,7 +505,7 @@ impl SafeBrowsingClient {
             self.note_lookup(started, false);
             return Ok(LookupOutcome::Safe);
         }
-        self.counters.local_hits.inc();
+        self.handles.local_hits.inc();
 
         // Resolve the hits through the configured shaper's query plan and
         // the full-hash cache.
@@ -588,7 +516,7 @@ impl SafeBrowsingClient {
                 Ok(self.verdict(&scratch.hits, confirmed))
             }
             Err(error) => {
-                self.counters.service_errors.inc();
+                self.handles.service_errors.inc();
                 Err(error)
             }
         };
@@ -602,7 +530,7 @@ impl SafeBrowsingClient {
     /// and a [`TraceKind::Lookup`] event whose value is the verdict.
     fn note_lookup(&self, started: Duration, malicious: bool) {
         let elapsed = self.telemetry.now().saturating_sub(started);
-        self.counters.lookup_ns.record(elapsed.as_nanos() as u64);
+        self.handles.lookup_ns.record(elapsed.as_nanos() as u64);
         self.telemetry.event(TraceKind::Lookup, malicious as u64);
     }
 
@@ -677,7 +605,7 @@ impl SafeBrowsingClient {
         urls: &[CanonicalUrl],
     ) -> Result<Vec<LookupOutcome>, ServiceError> {
         let started = self.telemetry.now();
-        self.counters.batched_lookups.inc();
+        self.handles.batched_lookups.inc();
 
         // Local pass over the whole batch.  Each hit's digest is computed
         // once and carried with its hit record; hits live in one flat
@@ -687,7 +615,7 @@ impl SafeBrowsingClient {
         scratch.hits.clear();
         let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(urls.len());
         for url in urls {
-            self.counters.lookups.inc();
+            self.handles.lookups.inc();
             let start = scratch.hits.len();
             Self::collect_local_hits(
                 &self.database,
@@ -698,7 +626,7 @@ impl SafeBrowsingClient {
             );
             let end = scratch.hits.len();
             if end > start {
-                self.counters.local_hits.inc();
+                self.handles.local_hits.inc();
             }
             ranges.push((start, end));
         }
@@ -707,7 +635,7 @@ impl SafeBrowsingClient {
         // independent planned requests share round trips.
         if !scratch.hits.is_empty() {
             if let Err(error) = self.resolve_shaped(&scratch.hits, &ranges) {
-                self.counters.service_errors.inc();
+                self.handles.service_errors.inc();
                 self.scratch = scratch;
                 // The lookups above were counted, so they get their
                 // (amortized) histogram samples and trace events too.
@@ -740,7 +668,7 @@ impl SafeBrowsingClient {
         let elapsed = self.telemetry.now().saturating_sub(started);
         let per_url = (elapsed / urls as u32).as_nanos() as u64;
         for i in 0..urls {
-            self.counters.lookup_ns.record(per_url);
+            self.handles.lookup_ns.record(per_url);
             self.telemetry.event(TraceKind::Lookup, malicious(i) as u64);
         }
     }
@@ -749,7 +677,7 @@ impl SafeBrowsingClient {
     /// point-in-time view over the `client.*` metrics in the telemetry
     /// registry.
     pub fn metrics(&self) -> ClientMetrics {
-        self.counters.view()
+        self.handles.view()
     }
 
     /// The telemetry plane this client publishes into (shared when the
@@ -838,7 +766,7 @@ impl SafeBrowsingClient {
                 matched_decompositions: hits.iter().map(|h| h.expression.clone()).collect(),
             }
         } else {
-            self.counters.urls_flagged.inc();
+            self.handles.urls_flagged.inc();
             LookupOutcome::Malicious { matches: confirmed }
         }
     }
@@ -1003,14 +931,14 @@ impl SafeBrowsingClient {
                 domain_root_revealed: request.real.iter().any(|p| domain_roots.contains(p)),
             });
         }
-        self.counters.full_hash_round_trips.inc();
+        self.handles.full_hash_round_trips.inc();
         if fire_and_forget {
             for request in requests {
-                self.counters.requests_sent.inc();
-                self.counters
+                self.handles.requests_sent.inc();
+                self.handles
                     .prefixes_sent
                     .add(request.prefixes.len() as u64);
-                self.counters
+                self.handles
                     .dummy_prefixes_sent
                     .add(request.dummy_count() as u64);
             }
@@ -1038,11 +966,11 @@ impl SafeBrowsingClient {
         }
         for (request, response) in requests.iter().zip(&responses) {
             self.cache.store_response(&request.real, response);
-            self.counters.requests_sent.inc();
-            self.counters
+            self.handles.requests_sent.inc();
+            self.handles
                 .prefixes_sent
                 .add(request.prefixes.len() as u64);
-            self.counters
+            self.handles
                 .dummy_prefixes_sent
                 .add(request.dummy_count() as u64);
         }

@@ -4,47 +4,55 @@
 //! often the provider is contacted and how many prefixes are revealed per
 //! lookup.
 
-/// Counters accumulated by a [`crate::SafeBrowsingClient`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClientMetrics {
-    /// Number of URL lookups performed.
-    pub lookups: usize,
-    /// Lookups for which at least one decomposition prefix matched the
-    /// local database.
-    pub local_hits: usize,
-    /// Full-hash requests sent to the provider (including dummy requests).
-    /// Several requests can share one transport round trip — see
-    /// [`Self::full_hash_round_trips`].
-    pub requests_sent: usize,
-    /// Transport round trips performed for full-hash resolution.  Batch
-    /// execution packs the independent requests of a shaper's query plan
-    /// into shared round trips, so this stays far below `requests_sent`
-    /// under the dummy/padded shapers and far below `lookups` for batched
-    /// checking.
-    pub full_hash_round_trips: usize,
-    /// Total prefixes revealed to the provider (including dummies).
-    pub prefixes_sent: usize,
-    /// Dummy prefixes revealed (only under the dummy-query mitigation).
-    pub dummy_prefixes_sent: usize,
-    /// Lookups confirmed malicious by the provider.
-    pub urls_flagged: usize,
-    /// Database updates performed.
-    pub updates: usize,
-    /// Batched lookup calls (`check_urls`/`check_canonicals`); the URLs they
-    /// carry are also counted individually in `lookups`.
-    pub batched_lookups: usize,
-    /// Provider exchanges that failed with a `ServiceError`.
-    pub service_errors: usize,
-    /// Chunks applied across all updates (excludes idempotent
-    /// re-deliveries the database skipped).
-    pub chunks_applied: usize,
-    /// The provider's most recent `next_update_seconds` schedule hint —
-    /// what an `UpdateDriver` sleeps on between updates.
-    pub next_update_hint: Option<u64>,
-    /// Update deltas absorbed on the store's overlay path (no rebuild).
-    pub deltas_absorbed: usize,
-    /// Full store rebuilds triggered by an oversized overlay.
-    pub store_rebuilds: usize,
+sb_telemetry::stats! {
+    /// Counters accumulated by a [`crate::SafeBrowsingClient`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ClientMetrics {
+        /// Number of URL lookups performed.
+        pub lookups: usize = counter,
+        /// Lookups for which at least one decomposition prefix matched the
+        /// local database.
+        pub local_hits: usize = counter,
+        /// Full-hash requests sent to the provider (including dummy requests).
+        /// Several requests can share one transport round trip — see
+        /// [`Self::full_hash_round_trips`].
+        pub requests_sent: usize = counter,
+        /// Transport round trips performed for full-hash resolution.  Batch
+        /// execution packs the independent requests of a shaper's query plan
+        /// into shared round trips, so this stays far below `requests_sent`
+        /// under the dummy/padded shapers and far below `lookups` for batched
+        /// checking.
+        pub full_hash_round_trips: usize = counter,
+        /// Total prefixes revealed to the provider (including dummies).
+        pub prefixes_sent: usize = counter,
+        /// Dummy prefixes revealed (only under the dummy-query mitigation).
+        pub dummy_prefixes_sent: usize = counter,
+        /// Lookups confirmed malicious by the provider.
+        pub urls_flagged: usize = counter,
+        /// Database updates performed.
+        pub updates: usize = counter,
+        /// Batched lookup calls (`check_urls`/`check_canonicals`); the URLs they
+        /// carry are also counted individually in `lookups`.
+        pub batched_lookups: usize = counter,
+        /// Provider exchanges that failed with a `ServiceError`.
+        pub service_errors: usize = counter,
+        /// Chunks applied across all updates (excludes idempotent
+        /// re-deliveries the database skipped).
+        pub chunks_applied: usize = counter,
+        /// The provider's most recent `next_update_seconds` schedule hint —
+        /// what an `UpdateDriver` sleeps on between updates.
+        pub next_update_hint: Option<u64> = gauge,
+        /// Update deltas absorbed on the store's overlay path (no rebuild).
+        pub deltas_absorbed: usize = gauge,
+        /// Full store rebuilds triggered by an oversized overlay.
+        pub store_rebuilds: usize = gauge,
+    }
+    /// The lookup hot path only ever touches these with relaxed atomic adds,
+    /// keeping the cache-hit path at zero heap allocations.
+    pub(crate) struct ClientHandles("client") {
+        /// Latency of each lookup.
+        lookup_ns: histogram,
+    }
 }
 
 impl ClientMetrics {

@@ -25,7 +25,7 @@ use sb_protocol::{
     Clock, DeadlineBudget, FullHashRequest, FullHashResponse, ServiceError, SystemClock,
     UpdateRequest, UpdateResponse,
 };
-use sb_telemetry::{Counter, Gauge, Histogram, Telemetry, TraceKind};
+use sb_telemetry::{Telemetry, TraceKind};
 
 use crate::transport::Transport;
 
@@ -122,95 +122,42 @@ impl RetryPolicy {
     }
 }
 
-/// Counters accumulated by a [`RetryingTransport`] — the retry-layer
-/// equivalent of [`TransportStats`](crate::TransportStats).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RetryStats {
-    /// Update exchanges requested by the caller.
-    pub update_calls: usize,
-    /// Full-hash exchanges requested by the caller.
-    pub full_hash_calls: usize,
-    /// Attempts sent to the inner transport (≥ the number of exchanges).
-    pub attempts: usize,
-    /// Retries performed (attempts beyond the first of each exchange).
-    pub retries: usize,
-    /// Retries triggered by [`ServiceError::Backoff`] (the provider's own
-    /// delay was honoured).
-    pub backoff_retries: usize,
-    /// Retries triggered by [`ServiceError::Unavailable`] (exponential
-    /// fallback delay).
-    pub unavailable_retries: usize,
-    /// Exchanges abandoned after `max_attempts` failed attempts.
-    pub exhausted: usize,
-    /// Exchanges abandoned because the caller's [`DeadlineBudget`] was
-    /// spent (or the next delay would overshoot it) before the attempt cap.
-    pub budget_stops: usize,
-    /// Exchanges failed on a non-retryable error (surfaced immediately).
-    pub non_retryable_failures: usize,
-    /// Total delay requested of the clock across all retries.
-    pub total_delay: Duration,
-    /// `next_update_seconds` of the most recent successful update — the
-    /// provider's minimum delay before the next update exchange.
-    pub last_next_update_seconds: Option<u64>,
-}
-
-/// Registry handles backing [`RetryStats`].  Registered once at
-/// construction; every stat bump afterwards is a relaxed atomic add, so
-/// the retry loop never locks or allocates for accounting.
-#[derive(Debug, Clone)]
-struct RetryHandles {
-    update_calls: Counter,
-    full_hash_calls: Counter,
-    attempts: Counter,
-    retries: Counter,
-    backoff_retries: Counter,
-    unavailable_retries: Counter,
-    exhausted: Counter,
-    budget_stops: Counter,
-    non_retryable_failures: Counter,
-    total_delay_ns: Counter,
-    /// `next_update_seconds + 1` of the most recent successful update;
-    /// 0 while no update has succeeded (the `Option` sentinel).
-    next_update_hint: Gauge,
-    round_trip_ns: Histogram,
-}
-
-impl RetryHandles {
-    fn register(telemetry: &Telemetry) -> Self {
-        let metrics = telemetry.metrics();
-        RetryHandles {
-            update_calls: metrics.counter("retry.update_calls"),
-            full_hash_calls: metrics.counter("retry.full_hash_calls"),
-            attempts: metrics.counter("retry.attempts"),
-            retries: metrics.counter("retry.retries"),
-            backoff_retries: metrics.counter("retry.backoff_retries"),
-            unavailable_retries: metrics.counter("retry.unavailable_retries"),
-            exhausted: metrics.counter("retry.exhausted"),
-            budget_stops: metrics.counter("retry.budget_stops"),
-            non_retryable_failures: metrics.counter("retry.non_retryable_failures"),
-            total_delay_ns: metrics.counter("retry.total_delay_ns"),
-            next_update_hint: metrics.gauge("retry.next_update_hint"),
-            round_trip_ns: metrics.histogram("retry.round_trip_ns"),
-        }
+sb_telemetry::stats! {
+    /// Counters accumulated by a [`RetryingTransport`] — the retry-layer
+    /// equivalent of [`TransportStats`](crate::TransportStats).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct RetryStats {
+        /// Update exchanges requested by the caller.
+        pub update_calls: usize = counter,
+        /// Full-hash exchanges requested by the caller.
+        pub full_hash_calls: usize = counter,
+        /// Attempts sent to the inner transport (≥ the number of exchanges).
+        pub attempts: usize = counter,
+        /// Retries performed (attempts beyond the first of each exchange).
+        pub retries: usize = counter,
+        /// Retries triggered by [`ServiceError::Backoff`] (the provider's own
+        /// delay was honoured).
+        pub backoff_retries: usize = counter,
+        /// Retries triggered by [`ServiceError::Unavailable`] (exponential
+        /// fallback delay).
+        pub unavailable_retries: usize = counter,
+        /// Exchanges abandoned after `max_attempts` failed attempts.
+        pub exhausted: usize = counter,
+        /// Exchanges abandoned because the caller's [`DeadlineBudget`] was
+        /// spent (or the next delay would overshoot it) before the attempt cap.
+        pub budget_stops: usize = counter,
+        /// Exchanges failed on a non-retryable error (surfaced immediately).
+        pub non_retryable_failures: usize = counter,
+        /// Total delay requested of the clock across all retries.
+        pub total_delay: Duration = counter(total_delay_ns),
+        /// `next_update_seconds` of the most recent successful update — the
+        /// provider's minimum delay before the next update exchange.
+        pub last_next_update_seconds: Option<u64> = gauge(next_update_hint),
     }
-
-    fn view(&self) -> RetryStats {
-        RetryStats {
-            update_calls: self.update_calls.get() as usize,
-            full_hash_calls: self.full_hash_calls.get() as usize,
-            attempts: self.attempts.get() as usize,
-            retries: self.retries.get() as usize,
-            backoff_retries: self.backoff_retries.get() as usize,
-            unavailable_retries: self.unavailable_retries.get() as usize,
-            exhausted: self.exhausted.get() as usize,
-            budget_stops: self.budget_stops.get() as usize,
-            non_retryable_failures: self.non_retryable_failures.get() as usize,
-            total_delay: Duration::from_nanos(self.total_delay_ns.get()),
-            last_next_update_seconds: match self.next_update_hint.get() {
-                hint if hint > 0 => Some(hint as u64 - 1),
-                _ => None,
-            },
-        }
+    /// Every bump is a relaxed atomic add, so the retry loop never locks or
+    /// allocates for accounting.
+    struct RetryHandles("retry") {
+        round_trip_ns: histogram,
     }
 }
 
@@ -322,7 +269,7 @@ impl<T: Transport> RetryingTransport<T> {
     /// The provider's most recent `next_update_seconds` hint (minimum delay
     /// before the next update exchange), if any update has succeeded.
     pub fn next_update_hint(&self) -> Option<u64> {
-        self.handles.view().last_next_update_seconds
+        self.handles.last_next_update_seconds.load()
     }
 
     /// The delay before retry number `retry` (1-based) of one exchange,
@@ -401,7 +348,7 @@ impl<T: Transport> RetryingTransport<T> {
                 budget.charge(delay);
             }
             self.handles.retries.inc();
-            self.handles.total_delay_ns.add(delay.as_nanos() as u64);
+            self.handles.total_delay.add(delay.as_nanos() as u64);
             self.telemetry
                 .event(TraceKind::Retry, delay.as_nanos() as u64);
             self.clock.sleep(delay);
@@ -419,12 +366,9 @@ impl<T: Transport> RetryingTransport<T> {
             Some(budget) => self.inner.update_within(request, budget),
             None => self.inner.update(request),
         })?;
-        // Stored shifted by one so 0 can mean "no update has succeeded".
-        let stored = response
-            .next_update_seconds
-            .saturating_add(1)
-            .min(i64::MAX as u64) as i64;
-        self.handles.next_update_hint.set(stored);
+        self.handles
+            .last_next_update_seconds
+            .store(Some(response.next_update_seconds));
         Ok(response)
     }
 

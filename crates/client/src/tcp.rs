@@ -45,64 +45,30 @@ use std::time::{Duration, Instant};
 use sb_protocol::{
     DeadlineBudget, FullHashRequest, FullHashResponse, ServiceError, UpdateRequest, UpdateResponse,
 };
-use sb_telemetry::{Counter, RegistrySnapshot, Telemetry};
+use sb_telemetry::{RegistrySnapshot, Telemetry};
 use sb_wire::{encode_frame, read_message, FrameType, Message, WireError};
 
 use crate::transport::Transport;
 
-/// Wire-level counters of a [`TcpTransport`] (monotonic; snapshot via
-/// [`TcpTransport::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TcpTransportStats {
-    /// Fresh TCP connections opened.
-    pub connections_opened: u64,
-    /// Round trips that reused a pooled connection.
-    pub connections_reused: u64,
-    /// Transparent reconnects after a reused connection turned out dead.
-    pub reconnects: u64,
-    /// Completed request/reply exchanges.
-    pub round_trips: u64,
-    /// Bytes written to the sockets (headers + payloads).
-    pub bytes_sent: u64,
-    /// Bytes read off the sockets.
-    pub bytes_received: u64,
-}
-
-/// Registry handles backing [`TcpTransportStats`]; registered once at
-/// construction, bumped with relaxed atomic adds.
-#[derive(Debug, Clone)]
-struct TcpHandles {
-    connections_opened: Counter,
-    connections_reused: Counter,
-    reconnects: Counter,
-    round_trips: Counter,
-    bytes_sent: Counter,
-    bytes_received: Counter,
-}
-
-impl TcpHandles {
-    fn register(telemetry: &Telemetry) -> Self {
-        let metrics = telemetry.metrics();
-        TcpHandles {
-            connections_opened: metrics.counter("tcp_client.connections_opened"),
-            connections_reused: metrics.counter("tcp_client.connections_reused"),
-            reconnects: metrics.counter("tcp_client.reconnects"),
-            round_trips: metrics.counter("tcp_client.round_trips"),
-            bytes_sent: metrics.counter("tcp_client.bytes_sent"),
-            bytes_received: metrics.counter("tcp_client.bytes_received"),
-        }
+sb_telemetry::stats! {
+    /// Wire-level counters of a [`TcpTransport`] (monotonic; snapshot via
+    /// [`TcpTransport::stats`]).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TcpTransportStats {
+        /// Fresh TCP connections opened.
+        pub connections_opened: u64 = counter,
+        /// Round trips that reused a pooled connection.
+        pub connections_reused: u64 = counter,
+        /// Transparent reconnects after a reused connection turned out dead.
+        pub reconnects: u64 = counter,
+        /// Completed request/reply exchanges.
+        pub round_trips: u64 = counter,
+        /// Bytes written to the sockets (headers + payloads).
+        pub bytes_sent: u64 = counter,
+        /// Bytes read off the sockets.
+        pub bytes_received: u64 = counter,
     }
-
-    fn view(&self) -> TcpTransportStats {
-        TcpTransportStats {
-            connections_opened: self.connections_opened.get(),
-            connections_reused: self.connections_reused.get(),
-            reconnects: self.reconnects.get(),
-            round_trips: self.round_trips.get(),
-            bytes_sent: self.bytes_sent.get(),
-            bytes_received: self.bytes_received.get(),
-        }
-    }
+    struct TcpHandles("tcp_client");
 }
 
 /// A pooled TCP connection to a `TcpServingTier` (or anything speaking the

@@ -29,6 +29,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use sb_telemetry::Telemetry;
 use sb_wire::{HEADER_LEN, MAX_PAYLOAD};
 
 /// One fault a [`ChaosProxy`] can inject into an exchange.
@@ -167,64 +168,40 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Per-fault counters of a [`ChaosProxy`] (monotonic; snapshot via
-/// [`ChaosProxy::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChaosStats {
-    /// Client connections accepted.
-    pub connections: u64,
-    /// Request frames seen (each is one exchange).
-    pub exchanges: u64,
-    /// Exchanges that suffered any fault.
-    pub faults_injected: u64,
-    /// [`Fault::Delay`] injections.
-    pub delays: u64,
-    /// [`Fault::ResetMidFrame`] injections.
-    pub resets_mid_frame: u64,
-    /// [`Fault::Stall`] injections.
-    pub stalls: u64,
-    /// [`Fault::CorruptRequest`] injections.
-    pub corrupted_requests: u64,
-    /// [`Fault::CorruptReply`] injections.
-    pub corrupted_replies: u64,
-    /// [`Fault::Blackhole`] injections.
-    pub blackholes: u64,
-    /// [`Fault::SlowDrip`] injections.
-    pub slow_drips: u64,
-}
-
-#[derive(Default)]
-struct AtomicChaosStats {
-    connections: AtomicU64,
-    exchanges: AtomicU64,
-    faults_injected: AtomicU64,
-    delays: AtomicU64,
-    resets_mid_frame: AtomicU64,
-    stalls: AtomicU64,
-    corrupted_requests: AtomicU64,
-    corrupted_replies: AtomicU64,
-    blackholes: AtomicU64,
-    slow_drips: AtomicU64,
-}
-
-impl AtomicChaosStats {
-    fn snapshot(&self) -> ChaosStats {
-        ChaosStats {
-            connections: self.connections.load(Ordering::Relaxed),
-            exchanges: self.exchanges.load(Ordering::Relaxed),
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            delays: self.delays.load(Ordering::Relaxed),
-            resets_mid_frame: self.resets_mid_frame.load(Ordering::Relaxed),
-            stalls: self.stalls.load(Ordering::Relaxed),
-            corrupted_requests: self.corrupted_requests.load(Ordering::Relaxed),
-            corrupted_replies: self.corrupted_replies.load(Ordering::Relaxed),
-            blackholes: self.blackholes.load(Ordering::Relaxed),
-            slow_drips: self.slow_drips.load(Ordering::Relaxed),
-        }
+sb_telemetry::stats! {
+    /// Per-fault counters of a [`ChaosProxy`] (monotonic; snapshot via
+    /// [`ChaosProxy::stats`]).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ChaosStats {
+        /// Client connections accepted.
+        pub connections: u64 = counter,
+        /// Request frames seen (each is one exchange).
+        pub exchanges: u64 = counter,
+        /// Exchanges that suffered any fault.
+        pub faults_injected: u64 = counter,
+        /// [`Fault::Delay`] injections.
+        pub delays: u64 = counter,
+        /// [`Fault::ResetMidFrame`] injections.
+        pub resets_mid_frame: u64 = counter,
+        /// [`Fault::Stall`] injections.
+        pub stalls: u64 = counter,
+        /// [`Fault::CorruptRequest`] injections.
+        pub corrupted_requests: u64 = counter,
+        /// [`Fault::CorruptReply`] injections.
+        pub corrupted_replies: u64 = counter,
+        /// [`Fault::Blackhole`] injections.
+        pub blackholes: u64 = counter,
+        /// [`Fault::SlowDrip`] injections.
+        pub slow_drips: u64 = counter,
     }
+    /// Registered on a private plane per proxy, which is never shared, so
+    /// the proxy's counts stay its own.
+    struct ChaosHandles("chaos");
+}
 
+impl ChaosHandles {
     fn record(&self, fault: &Fault) {
-        self.faults_injected.fetch_add(1, Ordering::Relaxed);
+        self.faults_injected.inc();
         let counter = match fault {
             Fault::Delay(_) => &self.delays,
             Fault::ResetMidFrame => &self.resets_mid_frame,
@@ -234,14 +211,14 @@ impl AtomicChaosStats {
             Fault::Blackhole => &self.blackholes,
             Fault::SlowDrip { .. } => &self.slow_drips,
         };
-        counter.fetch_add(1, Ordering::Relaxed);
+        counter.inc();
     }
 }
 
 struct ProxyShared {
     upstream: SocketAddr,
     schedule: ChaosSchedule,
-    stats: AtomicChaosStats,
+    stats: ChaosHandles,
     exchange_counter: AtomicU64,
     fault_log: Mutex<Vec<(u64, Fault)>>,
     stop: AtomicBool,
@@ -307,7 +284,7 @@ impl ChaosProxy {
         let shared = Arc::new(ProxyShared {
             upstream,
             schedule,
-            stats: AtomicChaosStats::default(),
+            stats: ChaosHandles::register(&Telemetry::new()),
             exchange_counter: AtomicU64::new(0),
             fault_log: Mutex::new(Vec::new()),
             stop: AtomicBool::new(false),
@@ -338,9 +315,11 @@ impl ChaosProxy {
         self.shared.upstream
     }
 
-    /// A snapshot of the per-fault counters.
+    /// A snapshot of the per-fault counters — a view over the `chaos.*`
+    /// counters on this proxy's own private telemetry plane (no other proxy
+    /// or layer publishes into it).
     pub fn stats(&self) -> ChaosStats {
-        self.shared.stats.snapshot()
+        self.shared.stats.view()
     }
 
     /// Every fault injected so far as `(exchange index, fault)`, in
@@ -357,7 +336,7 @@ impl ChaosProxy {
     /// counters.  Dropping the proxy shuts down the same way.
     pub fn shutdown(mut self) -> ChaosStats {
         self.shutdown_inner();
-        self.shared.stats.snapshot()
+        self.shared.stats.view()
     }
 
     fn shutdown_inner(&mut self) {
@@ -403,7 +382,7 @@ fn accept_loop(
         if shared.stop.load(Ordering::SeqCst) {
             break; // the shutdown wake-up connection, or a late client
         }
-        shared.stats.connections.fetch_add(1, Ordering::Relaxed);
+        shared.stats.connections.inc();
         let worker = {
             let shared = Arc::clone(shared);
             std::thread::Builder::new()
@@ -495,7 +474,7 @@ fn proxy_connection(shared: &ProxyShared, mut client: TcpStream) {
             Ok(None) | Err(_) => return,
         };
         let index = shared.exchange_counter.fetch_add(1, Ordering::SeqCst);
-        shared.stats.exchanges.fetch_add(1, Ordering::Relaxed);
+        shared.stats.exchanges.inc();
         let fault = shared.schedule.fault_for(index);
         if let Some(fault) = &fault {
             shared.stats.record(fault);

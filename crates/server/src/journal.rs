@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 
 use sb_hash::Prefix;
 use sb_protocol::{Chunk, ChunkKind, ClientListState, ListName};
-use sb_telemetry::{Counter, Telemetry, TraceKind};
+use sb_telemetry::{Telemetry, TraceKind};
 
 /// Journal of one list: live chunks per kind plus the number allocators.
 #[derive(Debug, Default, Clone)]
@@ -73,48 +73,30 @@ impl ListJournal {
     }
 }
 
-/// Aggregate statistics over a [`ChunkJournal`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JournalStats {
-    /// Lists with at least one journal entry.
-    pub lists: usize,
-    /// Add chunks currently live in the journal.
-    pub add_chunks: usize,
-    /// Sub chunks currently live in the journal.
-    pub sub_chunks: usize,
-    /// Prefix entries across all live chunks (the replay cost of a fresh
-    /// client, in prefixes).
-    pub live_prefixes: usize,
-    /// Chunks appended over the journal's lifetime.
-    pub appends: usize,
-    /// Prefixes removed from add chunks by netting.
-    pub netted_prefixes: usize,
-    /// Add chunks dropped because netting emptied them.
-    pub dropped_chunks: usize,
-    /// Sub appends that netted at least one prefix.
-    pub compactions: usize,
-}
-
-/// The journal's lifetime counters, registered in its [`Telemetry`]
-/// registry (under `journal.*`) — the one place they are kept.
-#[derive(Debug)]
-struct JournalHandles {
-    appends: Counter,
-    netted_prefixes: Counter,
-    dropped_chunks: Counter,
-    compactions: Counter,
-}
-
-impl JournalHandles {
-    fn register(telemetry: &Telemetry) -> Self {
-        let metrics = telemetry.metrics();
-        JournalHandles {
-            appends: metrics.counter("journal.appends"),
-            netted_prefixes: metrics.counter("journal.netted_prefixes"),
-            dropped_chunks: metrics.counter("journal.dropped_chunks"),
-            compactions: metrics.counter("journal.compactions"),
-        }
+sb_telemetry::stats! {
+    /// Aggregate statistics over a [`ChunkJournal`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct JournalStats {
+        /// Lists with at least one journal entry.
+        pub lists: usize,
+        /// Add chunks currently live in the journal.
+        pub add_chunks: usize,
+        /// Sub chunks currently live in the journal.
+        pub sub_chunks: usize,
+        /// Prefix entries across all live chunks (the replay cost of a fresh
+        /// client, in prefixes).
+        pub live_prefixes: usize,
+        /// Chunks appended over the journal's lifetime.
+        pub appends: usize = counter,
+        /// Prefixes removed from add chunks by netting.
+        pub netted_prefixes: usize = counter,
+        /// Add chunks dropped because netting emptied them.
+        pub dropped_chunks: usize = counter,
+        /// Sub appends that netted at least one prefix.
+        pub compactions: usize = counter,
     }
+    /// The one place the journal's lifetime counters are kept.
+    struct JournalHandles("journal");
 }
 
 /// The server's chunk journal: one netted per-list journal with append
@@ -211,14 +193,9 @@ impl ChunkJournal {
 
     /// Aggregate statistics.
     pub fn stats(&self) -> JournalStats {
-        let handles = &self.handles;
         let mut stats = JournalStats {
             lists: self.lists.len(),
-            appends: handles.appends.get() as usize,
-            netted_prefixes: handles.netted_prefixes.get() as usize,
-            dropped_chunks: handles.dropped_chunks.get() as usize,
-            compactions: handles.compactions.get() as usize,
-            ..JournalStats::default()
+            ..self.handles.view()
         };
         for journal in self.lists.values() {
             stats.add_chunks += journal.adds.len();

@@ -28,6 +28,7 @@
 //! reinstates the shard or re-arms the quarantine.  All of it is
 //! deterministic over an injectable [`Clock`].
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -35,7 +36,7 @@ use sb_protocol::{
     Clock, FullHashRequest, FullHashResponse, SafeBrowsingService, ServiceError, SystemClock,
     UpdateRequest, UpdateResponse,
 };
-use sb_telemetry::{Counter, Telemetry, TraceKind};
+use sb_telemetry::{Telemetry, TraceKind};
 
 /// The bound a [`ShardedProvider`] shard must satisfy: a thread-safe,
 /// printable [`SafeBrowsingService`].  Blanket-implemented — any qualifying
@@ -47,34 +48,51 @@ impl<T: SafeBrowsingService + Send + Sync + std::fmt::Debug + ?Sized> ShardServi
 /// A shard of a [`ShardedProvider`]: any shared service implementation.
 pub type ShardHandle = Arc<dyn ShardService>;
 
-/// Counters accumulated by a [`ShardedProvider`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FleetStats {
-    /// Full-hash batches served (including degraded ones).
-    pub batches: usize,
-    /// Full-hash requests routed to each shard, by shard index.
-    pub requests_routed: Vec<usize>,
-    /// Retryable failures observed per shard, by shard index.
-    pub shard_failures: Vec<usize>,
-    /// Requests that failed open (empty response) because their shard
-    /// failed while the rest of the fleet answered.
-    pub degraded_requests: usize,
-    /// Update exchanges that succeeded only after failing over past at
-    /// least one unavailable shard.
-    pub update_failovers: usize,
-    /// Healthy→quarantined transitions (requires a [`HealthPolicy`]).
-    pub quarantines: usize,
-    /// Quarantined→healthy transitions after a successful probe.
-    pub reinstatements: usize,
-    /// Batches that probed a quarantined shard whose quarantine period had
-    /// elapsed.
-    pub probes: usize,
-    /// Requests that failed open (empty response) without touching their
-    /// shard because it was quarantined.
-    pub quarantined_skips: usize,
-    /// Shard calls that succeeded but breached the policy's latency
-    /// threshold (each counts toward that shard's consecutive failures).
-    pub slow_responses: usize,
+sb_telemetry::stats! {
+    /// Counters accumulated by a [`ShardedProvider`].
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct FleetStats {
+        /// Full-hash batches served (including degraded ones).
+        pub batches: usize = counter,
+        /// Full-hash requests routed to each shard, by shard index.
+        pub requests_routed: Vec<usize>,
+        /// Retryable failures observed per shard, by shard index.
+        pub shard_failures: Vec<usize>,
+        /// Requests that failed open (empty response) because their shard
+        /// failed while the rest of the fleet answered.
+        pub degraded_requests: usize = counter,
+        /// Update exchanges that succeeded only after failing over past at
+        /// least one unavailable shard.
+        pub update_failovers: usize = counter,
+        /// Healthy→quarantined transitions (requires a [`HealthPolicy`]).
+        pub quarantines: usize = counter,
+        /// Quarantined→healthy transitions after a successful probe.
+        pub reinstatements: usize = counter,
+        /// Batches that probed a quarantined shard whose quarantine period had
+        /// elapsed.
+        pub probes: usize = counter,
+        /// Requests that failed open (empty response) without touching their
+        /// shard because it was quarantined.
+        pub quarantined_skips: usize = counter,
+        /// Shard calls that succeeded but breached the policy's latency
+        /// threshold (each counts toward that shard's consecutive failures).
+        pub slow_responses: usize = counter,
+    }
+    /// The per-shard vectors of [`FleetStats`] are kept in the fleet's
+    /// [`ShardCounts`]; the registry carries their fleet-wide totals.
+    struct FleetHandles("fleet") {
+        /// Requests routed, summed over the shards.
+        requests_routed: counter,
+        /// Retryable shard failures, summed over the shards.
+        shard_failures: counter,
+    }
+}
+
+/// One shard's cells behind the per-shard vectors of [`FleetStats`].
+#[derive(Debug, Default)]
+struct ShardCounts {
+    requests_routed: AtomicUsize,
+    failures: AtomicUsize,
 }
 
 /// When and how a [`ShardedProvider`] quarantines misbehaving shards.
@@ -123,42 +141,6 @@ impl HealthPolicy {
     }
 }
 
-/// The fleet's registered metric handles, mirroring the aggregate fields
-/// of [`FleetStats`] into a [`Telemetry`] registry (under `fleet.*`).  The
-/// per-shard vectors stay in [`FleetStats`] only — the registry carries
-/// fleet-wide totals.
-#[derive(Debug)]
-struct FleetHandles {
-    batches: Counter,
-    requests_routed: Counter,
-    shard_failures: Counter,
-    degraded_requests: Counter,
-    update_failovers: Counter,
-    quarantines: Counter,
-    reinstatements: Counter,
-    probes: Counter,
-    quarantined_skips: Counter,
-    slow_responses: Counter,
-}
-
-impl FleetHandles {
-    fn register(telemetry: &Telemetry) -> Self {
-        let metrics = telemetry.metrics();
-        FleetHandles {
-            batches: metrics.counter("fleet.batches"),
-            requests_routed: metrics.counter("fleet.requests_routed"),
-            shard_failures: metrics.counter("fleet.shard_failures"),
-            degraded_requests: metrics.counter("fleet.degraded_requests"),
-            update_failovers: metrics.counter("fleet.update_failovers"),
-            quarantines: metrics.counter("fleet.quarantines"),
-            reinstatements: metrics.counter("fleet.reinstatements"),
-            probes: metrics.counter("fleet.probes"),
-            quarantined_skips: metrics.counter("fleet.quarantined_skips"),
-            slow_responses: metrics.counter("fleet.slow_responses"),
-        }
-    }
-}
-
 /// Per-shard health memory (only consulted when a policy is installed).
 #[derive(Debug, Clone, Default)]
 struct ShardHealth {
@@ -203,7 +185,7 @@ struct ShardHealth {
 #[derive(Debug)]
 pub struct ShardedProvider {
     shards: Vec<ShardHandle>,
-    stats: Mutex<FleetStats>,
+    shard_counts: Box<[ShardCounts]>,
     health_policy: Option<HealthPolicy>,
     health: Mutex<Vec<ShardHealth>>,
     clock: Box<dyn Clock>,
@@ -223,17 +205,13 @@ impl ShardedProvider {
             !shards.is_empty(),
             "a provider fleet needs at least one shard"
         );
-        let stats = FleetStats {
-            requests_routed: vec![0; shards.len()],
-            shard_failures: vec![0; shards.len()],
-            ..FleetStats::default()
-        };
+        let shard_counts = shards.iter().map(|_| ShardCounts::default()).collect();
         let health = vec![ShardHealth::default(); shards.len()];
         let telemetry = Telemetry::default();
         let handles = FleetHandles::register(&telemetry);
         ShardedProvider {
             shards,
-            stats: Mutex::new(stats),
+            shard_counts,
             health_policy: None,
             health: Mutex::new(health),
             clock: Box::new(SystemClock),
@@ -260,7 +238,9 @@ impl ShardedProvider {
 
     /// Publishes the fleet's aggregate counters (and quarantine trace
     /// events) into a shared [`Telemetry`] plane instead of the private
-    /// default one.
+    /// default one.  The aggregates of [`Self::stats`] are read from the
+    /// plane, so fleets sharing one aggregate there; the per-shard vectors
+    /// stay per fleet.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.handles = FleetHandles::register(&telemetry);
         self.telemetry = telemetry;
@@ -314,11 +294,27 @@ impl ShardedProvider {
 
     /// The counters accumulated so far.
     pub fn stats(&self) -> FleetStats {
-        self.lock_stats().clone()
+        let (requests_routed, shard_failures) = self
+            .shard_counts
+            .iter()
+            .map(|counts| {
+                let routed = counts.requests_routed.load(Ordering::Relaxed);
+                (routed, counts.failures.load(Ordering::Relaxed))
+            })
+            .unzip();
+        FleetStats {
+            requests_routed,
+            shard_failures,
+            ..self.handles.view()
+        }
     }
 
-    fn lock_stats(&self) -> std::sync::MutexGuard<'_, FleetStats> {
-        self.stats.lock().expect("fleet stats lock poisoned")
+    /// Counts one retryable failure of `shard`.
+    fn note_shard_failure(&self, shard: usize) {
+        self.shard_counts[shard]
+            .failures
+            .fetch_add(1, Ordering::Relaxed);
+        self.handles.shard_failures.inc();
     }
 
     fn lock_health(&self) -> std::sync::MutexGuard<'_, Vec<ShardHealth>> {
@@ -334,7 +330,7 @@ impl ShardedProvider {
         };
         let now = self.clock.now();
         // Compute transitions under the health lock, bump counters after
-        // releasing it (stats and health locks are never held together).
+        // releasing it.
         let (quarantined, reinstated) = {
             let mut health = self.lock_health();
             let entry = &mut health[shard];
@@ -357,13 +353,11 @@ impl ShardedProvider {
             }
         };
         if quarantined {
-            self.lock_stats().quarantines += 1;
             self.handles.quarantines.inc();
             self.telemetry
                 .event(TraceKind::ShardQuarantine, shard as u64);
         }
         if reinstated {
-            self.lock_stats().reinstatements += 1;
             self.handles.reinstatements.inc();
             self.telemetry
                 .event(TraceKind::ShardReinstate, shard as u64);
@@ -393,14 +387,12 @@ impl SafeBrowsingService for ShardedProvider {
             match self.shards[index].update(request) {
                 Ok(response) => {
                     if position > 0 {
-                        self.lock_stats().update_failovers += 1;
                         self.handles.update_failovers.inc();
                     }
                     return Ok(response);
                 }
                 Err(error) if error.is_retryable() => {
-                    self.lock_stats().shard_failures[index] += 1;
-                    self.handles.shard_failures.inc();
+                    self.note_shard_failure(index);
                     last_error = Some(error);
                 }
                 Err(error) => return Err(error),
@@ -446,12 +438,10 @@ impl SafeBrowsingService for ShardedProvider {
         for (slot, request) in requests.iter().enumerate() {
             slots_of[self.shard_for(request)].push(slot);
         }
-        {
-            let mut stats = self.lock_stats();
-            stats.batches += 1;
-            for (shard, slots) in slots_of.iter().enumerate() {
-                stats.requests_routed[shard] += slots.len();
-            }
+        for (counts, slots) in self.shard_counts.iter().zip(&slots_of) {
+            counts
+                .requests_routed
+                .fetch_add(slots.len(), Ordering::Relaxed);
         }
         self.handles.batches.inc();
         self.handles.requests_routed.add(requests.len() as u64);
@@ -484,7 +474,6 @@ impl SafeBrowsingService for ShardedProvider {
                 }
             }
             if probes > 0 {
-                self.lock_stats().probes += probes;
                 self.handles.probes.add(probes as u64);
             }
             if attempted.is_empty() {
@@ -576,7 +565,6 @@ impl SafeBrowsingService for ShardedProvider {
                         .and_then(|policy| policy.latency_threshold)
                         .is_some_and(|threshold| elapsed > threshold);
                     if slow {
-                        self.lock_stats().slow_responses += 1;
                         self.handles.slow_responses.inc();
                     }
                     // A successful-but-slow answer is still used, but it
@@ -586,8 +574,7 @@ impl SafeBrowsingService for ShardedProvider {
                 Err(error) if error.is_retryable() => {
                     failed_shards += 1;
                     degraded += slots_of[shard].len();
-                    self.lock_stats().shard_failures[shard] += 1;
-                    self.handles.shard_failures.inc();
+                    self.note_shard_failure(shard);
                     self.note_shard_outcome(shard, false);
                     if first_retryable.is_none() {
                         first_retryable = Some(error);
@@ -602,11 +589,6 @@ impl SafeBrowsingService for ShardedProvider {
             // Every shard actually asked failed retryably: the whole fleet
             // (as seen by this batch) is down.
             return Err(first_retryable.expect("all attempted shards failed"));
-        }
-        {
-            let mut stats = self.lock_stats();
-            stats.degraded_requests += degraded;
-            stats.quarantined_skips += quarantine_skips;
         }
         self.handles.degraded_requests.add(degraded as u64);
         self.handles.quarantined_skips.add(quarantine_skips as u64);
@@ -1066,5 +1048,32 @@ mod tests {
         assert_eq!(stats.quarantines, 0);
         assert_eq!(stats.quarantined_skips, 0);
         assert_eq!(stats.shard_failures, vec![5, 0]);
+    }
+
+    #[test]
+    fn shard_vectors_stay_per_fleet_and_totals_follow_the_plane() {
+        let backend = backend();
+        let telemetry = Telemetry::new();
+        let flaky = FlakyShard::over(backend.clone(), true);
+        let a = ShardedProvider::new(vec![flaky as ShardHandle, backend.clone()])
+            .with_telemetry(telemetry.clone());
+        let b = fleet_over(&backend, 2).with_telemetry(telemetry.clone());
+        a.full_hashes_batch(&[low_request(), high_request()])
+            .unwrap();
+        b.full_hashes_batch(&[low_request(), high_request(), high_request()])
+            .unwrap();
+
+        let (a, b) = (a.stats(), b.stats());
+        assert_eq!(a.requests_routed, vec![1, 1]);
+        assert_eq!(a.shard_failures, vec![1, 0]);
+        assert_eq!(b.requests_routed, vec![1, 2]);
+        assert_eq!(b.shard_failures, vec![0, 0]);
+        // The aggregates live in the shared plane, so both fleets read the
+        // sum; the registry totals are the per-shard vectors summed.
+        assert_eq!((a.batches, a.degraded_requests), (2, 1));
+        assert_eq!(a.batches, b.batches);
+        let snapshot = telemetry.snapshot();
+        assert_eq!(snapshot.counter("fleet.requests_routed"), Some(5));
+        assert_eq!(snapshot.counter("fleet.shard_failures"), Some(1));
     }
 }

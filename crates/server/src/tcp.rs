@@ -36,7 +36,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use sb_protocol::{SafeBrowsingService, ServiceError};
-use sb_telemetry::{Counter, Telemetry, TraceKind};
+use sb_telemetry::{Telemetry, TraceKind};
 use sb_wire::{
     crc32, decode_payload, encode_frame, read_payload, FrameHeader, Message, HEADER_LEN,
 };
@@ -84,71 +84,32 @@ impl TierConfig {
     }
 }
 
-/// Wire-level counters of a serving tier (monotonic; snapshot via
-/// [`TcpServingTier::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireStats {
-    /// Connections accepted by the listener.
-    pub connections_accepted: u64,
-    /// Connections fully served and closed.
-    pub connections_closed: u64,
-    /// Request frames decoded.
-    pub frames_received: u64,
-    /// Response (or error) frames written.
-    pub frames_sent: u64,
-    /// Bytes read off the sockets (headers + payloads).
-    pub bytes_received: u64,
-    /// Bytes written to the sockets.
-    pub bytes_sent: u64,
-    /// Frames rejected by the codec (hostile or corrupted input).
-    pub protocol_errors: u64,
-    /// Frames whose payload failed its CRC — corruption in transit, not a
-    /// hostile peer, so these are answered with a *retryable* error frame
-    /// (counted here in addition to `protocol_errors`).
-    pub checksum_failures: u64,
-}
-
-/// The tier's registered metric handles; [`WireStats`] is the snapshot
-/// view over them.
-#[derive(Debug)]
-struct WireHandles {
-    connections_accepted: Counter,
-    connections_closed: Counter,
-    frames_received: Counter,
-    frames_sent: Counter,
-    bytes_received: Counter,
-    bytes_sent: Counter,
-    protocol_errors: Counter,
-    checksum_failures: Counter,
-}
-
-impl WireHandles {
-    fn register(telemetry: &Telemetry) -> Self {
-        let metrics = telemetry.metrics();
-        WireHandles {
-            connections_accepted: metrics.counter("wire.connections_accepted"),
-            connections_closed: metrics.counter("wire.connections_closed"),
-            frames_received: metrics.counter("wire.frames_received"),
-            frames_sent: metrics.counter("wire.frames_sent"),
-            bytes_received: metrics.counter("wire.bytes_received"),
-            bytes_sent: metrics.counter("wire.bytes_sent"),
-            protocol_errors: metrics.counter("wire.protocol_errors"),
-            checksum_failures: metrics.counter("wire.checksum_failures"),
-        }
+sb_telemetry::stats! {
+    /// Wire-level counters of a serving tier (monotonic; snapshot via
+    /// [`TcpServingTier::stats`]).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct WireStats {
+        /// Connections accepted by the listener.
+        pub connections_accepted: u64 = counter,
+        /// Connections fully served and closed.
+        pub connections_closed: u64 = counter,
+        /// Request frames decoded.
+        pub frames_received: u64 = counter,
+        /// Response (or error) frames handed to the socket.  Counted before
+        /// the write, so a peer that has read a reply always sees it here.
+        pub frames_sent: u64 = counter,
+        /// Bytes read off the sockets (headers + payloads).
+        pub bytes_received: u64 = counter,
+        /// Bytes of the reply frames handed to the socket.
+        pub bytes_sent: u64 = counter,
+        /// Frames rejected by the codec (hostile or corrupted input).
+        pub protocol_errors: u64 = counter,
+        /// Frames whose payload failed its CRC — corruption in transit, not a
+        /// hostile peer, so these are answered with a *retryable* error frame
+        /// (counted here in addition to `protocol_errors`).
+        pub checksum_failures: u64 = counter,
     }
-
-    fn view(&self) -> WireStats {
-        WireStats {
-            connections_accepted: self.connections_accepted.get(),
-            connections_closed: self.connections_closed.get(),
-            frames_received: self.frames_received.get(),
-            frames_sent: self.frames_sent.get(),
-            bytes_received: self.bytes_received.get(),
-            bytes_sent: self.bytes_sent.get(),
-            protocol_errors: self.protocol_errors.get(),
-            checksum_failures: self.checksum_failures.get(),
-        }
-    }
+    struct WireHandles("wire");
 }
 
 struct TierShared {
@@ -395,9 +356,7 @@ impl TcpServingTier {
 
     /// Graceful shutdown: stop accepting, drain in-flight requests, join
     /// every thread, release the listener.  Returns the final wire
-    /// counters — with every worker joined they can no longer move, unlike
-    /// a mid-run [`Self::stats`] snapshot, which may trail an in-flight
-    /// reply by one frame.  Dropping the tier shuts down the same way.
+    /// counters.  Dropping the tier shuts down the same way.
     pub fn shutdown(mut self) -> WireStats {
         self.shutdown_inner();
         self.shared.stats.view()
@@ -629,10 +588,9 @@ fn write_reply(shared: &TierShared, stream: &mut TcpStream, reply: &Message) -> 
             }
         }
     };
-    if stream.write_all(&frame).is_err() || stream.flush().is_err() {
-        return false;
-    }
+    // Counted before the write: once the peer can read the reply, a scrape
+    // it sends next must already see it.
     shared.stats.frames_sent.inc();
     shared.stats.bytes_sent.add(frame.len() as u64);
-    true
+    stream.write_all(&frame).is_ok() && stream.flush().is_ok()
 }

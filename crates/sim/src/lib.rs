@@ -42,8 +42,7 @@
 //! inside per-shard full-hash fan-out, which affects observation-log
 //! *order* only — every reported metric is order-insensitive.  The
 //! provider fleet publishes into an [`sb_telemetry::Telemetry`] plane
-//! stamped by the shared virtual clock, and every run asserts the
-//! registry agrees exactly with the fleet's lock-guarded stats.
+//! stamped by the shared virtual clock, fresh for each run.
 //!
 //! ## Scale
 //!

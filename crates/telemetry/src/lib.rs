@@ -7,11 +7,11 @@
 //! for scraping a point-in-time [`RegistrySnapshot`] out of a running
 //! process.
 //!
-//! Before this crate, observability was ten disconnected ad-hoc stat
-//! structs (`RetryStats`, `BreakerStats`, `WireStats`, ...) readable only
-//! by holding a Rust handle to the right object.  Those structs survive as
-//! thin views: the layers now keep their counts *in* registry handles, and
-//! `stats()` reads the handles back.
+//! Each layer declares its metrics once, in a [`stats!`] field list: the
+//! macro generates the layer's public stats struct (`RetryStats`,
+//! `WireStats`, ...), the private handles struct its counts live in, the
+//! handles' registration and the `view()` that reads them back, so every
+//! metric name is written exactly once.
 //!
 //! ## The hot-path cost contract
 //!
@@ -67,6 +67,7 @@
 
 mod histogram;
 mod registry;
+mod stats;
 mod trace;
 
 use std::sync::Arc;
@@ -76,6 +77,7 @@ use sb_protocol::{Clock, SystemClock};
 
 pub use histogram::{Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use registry::{Counter, Gauge, MetricsRegistry, RegistrySnapshot};
+pub use stats::{CounterValue, GaugeValue};
 pub use trace::{TraceEvent, TraceKind, TraceRing, TraceSnapshot, DEFAULT_TRACE_CAPACITY};
 
 /// The shared telemetry handle: a [`MetricsRegistry`], a [`TraceRing`] and

@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::histogram::{Histogram, HistogramSnapshot};
+use crate::stats::GaugeValue;
 
 /// Number of stripes a [`Counter`] spreads its adds over.  A power of two;
 /// each thread sticks to one stripe, so concurrent writers on different
@@ -99,6 +100,16 @@ impl Gauge {
     /// The current value.
     pub fn get(&self) -> i64 {
         self.cell.load(Ordering::Relaxed)
+    }
+
+    /// Sets the gauge to `value` in its [`GaugeValue`] encoding.
+    pub fn store<T: GaugeValue>(&self, value: T) {
+        self.set(value.to_gauge());
+    }
+
+    /// The current value decoded as a `T` (the inverse of [`Self::store`]).
+    pub fn load<T: GaugeValue>(&self) -> T {
+        T::from_gauge(self.get())
     }
 }
 
